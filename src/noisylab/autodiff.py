@@ -459,37 +459,8 @@ def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Generic dispatch + gradient checking
+# Gradient checking
 # ---------------------------------------------------------------------------
-
-_OP_TABLE = {
-    "matmul": lambda ops, attrs: ops[0].matmul(ops[1]),
-    "add": lambda ops, attrs: ops[0] + ops[1],
-    "multiply": lambda ops, attrs: ops[0] * ops[1],
-    "relu": lambda ops, attrs: ops[0].relu(),
-    "sigmoid": lambda ops, attrs: ops[0].sigmoid(),
-    "exp": lambda ops, attrs: ops[0].exp(),
-    "log": lambda ops, attrs: ops[0].log(),
-    "square": lambda ops, attrs: ops[0].square(),
-    "sum": lambda ops, attrs: ops[0].sum(**attrs),
-    "mean": lambda ops, attrs: ops[0].mean(**attrs),
-    "softmax": lambda ops, attrs: ops[0].softmax(**attrs),
-    "log_softmax": lambda ops, attrs: ops[0].log_softmax(**attrs),
-    "reshape": lambda ops, attrs: ops[0].reshape(attrs["shape"]),
-    "clamp": lambda ops, attrs: ops[0].clamp(attrs["lo"], attrs["hi"]),
-    "conv2d": lambda ops, attrs: conv2d(*ops, **attrs),
-    "conv_transpose2d": lambda ops, attrs: conv_transpose2d(*ops, **attrs),
-    "max_pool2d": lambda ops, attrs: max_pool2d(ops[0], **attrs),
-    "avg_pool2d": lambda ops, attrs: avg_pool2d(ops[0], **attrs),
-}
-
-
-def forward_op(kind: str, operands, attrs: dict | None = None) -> Tensor:
-    """Apply a catalog operator by name. Raises KeyError for unknown kinds."""
-    if kind not in _OP_TABLE:
-        raise KeyError(f"unknown operator kind: {kind!r}")
-    return _OP_TABLE[kind](list(operands), attrs or {})
-
 
 def grad_check(f, point: Tensor, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .augment import ALL_OPS, SPATIAL_OPS
+
 SCHEMA_VERSION = 1
 
 
@@ -112,9 +114,7 @@ SCHEMA = {
     "train.epochs": Field(parse=int, default=60, check=lambda v: v >= 1),
     "train.batch_size": Field(parse=int, default=64, check=lambda v: v >= 1),
     # augmentation policy
-    "augment.ops": Field(parse=_parse_str_list,
-                         default=["cutout", "gaussian-noise", "brightness-shift",
-                                  "contrast-scale", "translate", "horizontal-flip"]),
+    "augment.ops": Field(parse=_parse_str_list, default=list(ALL_OPS)),
     "augment.num_ops": Field(parse=int, default=2, check=lambda v: v >= 1),
     "augment.magnitude": Field(parse=float, default=0.5, check=lambda v: 0 <= v <= 1),
     # seeds
@@ -122,10 +122,6 @@ SCHEMA = {
     "seeds.data": Field(parse=int, default=2),
     "seeds.augment": Field(parse=int, default=3),
 }
-
-_VALID_AUG_OPS = ("cutout", "gaussian-noise", "brightness-shift", "contrast-scale",
-                  "translate", "horizontal-flip")
-
 
 def default_config() -> dict:
     return {key: (list(f.default) if isinstance(f.default, list) else f.default)
@@ -146,10 +142,10 @@ def _semantic_errors(cfg: dict) -> list:
     if any(not 0 < m < 1 for m in ms) or sorted(ms) != ms:
         errors.append("optim.milestones: must be sorted fractions in (0, 1)")
     for op in cfg["augment.ops"]:
-        if op not in _VALID_AUG_OPS:
+        if op not in ALL_OPS:
             errors.append(f"augment.ops: unknown op {op!r}")
     if cfg["data.kind"] == "blobs":
-        spatial = {"cutout", "translate", "horizontal-flip"} & set(cfg["augment.ops"])
+        spatial = set(SPATIAL_OPS) & set(cfg["augment.ops"])
         if spatial:
             errors.append(
                 f"augment.ops: {sorted(spatial)} need image-shaped data (data.kind=images)"

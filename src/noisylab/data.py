@@ -10,21 +10,29 @@ Noise models:
   * asymmetric -- exactly round(eps * n_k) samples of class k are relabeled
     to class (k+1) mod C (wrap-around for the last class is configurable).
 
-The file format is a small self-describing binary: magic, version, layout
-and array payloads, little-endian throughout, so round-trips are bit-exact.
+Datasets and training checkpoints share one file format, a container of
+named little-endian arrays plus a JSON metadata block (``write_arrays`` and
+``read_arrays``), so round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
+import json
+import math
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"NLDS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEADER_BYTES = 10  # magic, u16 version, u32 length of the JSON block
+_DTYPES = ("<f4", "<f8", "<i4", "<i8", "|u1", "|b1")
+_DATASET_DTYPES = {"features": np.float32, "clean_labels": np.int32,
+                   "noisy_labels": np.int32, "corrupted": np.bool_}
 
 
 class DatasetError(ValueError):
@@ -36,7 +44,7 @@ class DoubleInjectionError(DatasetError):
 
 
 class DatasetFileError(IOError):
-    """Base for dataset (de)serialization failures."""
+    """Base for container file (de)serialization failures."""
 
 
 class CorruptHeaderError(DatasetFileError):
@@ -111,16 +119,6 @@ class LabeledDataset:
             and np.array_equal(self.clean_labels, other.clean_labels)
             and np.array_equal(self.noisy_labels, other.noisy_labels)
             and np.array_equal(self.corrupted, other.corrupted)
-        )
-
-    def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices)
-        return LabeledDataset(
-            features=self.features[idx],
-            clean_labels=self.clean_labels[idx],
-            noisy_labels=self.noisy_labels[idx],
-            corrupted=self.corrupted[idx],
-            num_classes=self.num_classes,
         )
 
 
@@ -244,60 +242,90 @@ def empirical_transition_matrix(ds: LabeledDataset):
 # Persistence
 # ---------------------------------------------------------------------------
 
+def write_arrays(path, arrays: dict, meta: dict) -> None:
+    """Write named arrays and a JSON-serializable ``meta`` dict to ``path``.
+
+    Layout: MAGIC, u16 FORMAT_VERSION, u32 length of a JSON block holding
+    ``meta`` and each array's name, dtype and shape, then each array's
+    little-endian bytes in order. The file is written to ``<path>.tmp`` and
+    renamed into place, so ``path`` never holds a partial file.
+    """
+    layout, payload = [], []
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        dtype = arr.dtype.newbyteorder("<")
+        if dtype.str not in _DTYPES:
+            raise DatasetFileError(f"unsupported dtype {arr.dtype} for array {name!r}")
+        layout.append([name, dtype.str, list(arr.shape)])
+        payload.append(arr.astype(dtype, copy=False))
+    block = json.dumps({"meta": meta, "arrays": layout}).encode()
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + FORMAT_VERSION.to_bytes(2, "little") + len(block).to_bytes(4, "little"))
+            fh.write(block)
+            for arr in payload:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_arrays(path):
+    """Parse a file written by ``write_arrays``; returns ``(arrays, meta)``.
+
+    Only whitelisted dtypes are read, every length is checked against the
+    file, and the last array must end exactly at end of file.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _HEADER_BYTES:
+        raise CorruptHeaderError(f"{path}: truncated header")
+    if blob[:4] != MAGIC:
+        raise CorruptHeaderError(f"{path}: bad magic bytes {blob[:4]!r}")
+    version = int.from_bytes(blob[4:6], "little")
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    offset = _HEADER_BYTES + int.from_bytes(blob[6:10], "little")
+    if offset > len(blob):
+        raise CorruptHeaderError(f"{path}: truncated JSON block")
+    try:
+        head = json.loads(blob[_HEADER_BYTES:offset])
+        meta = dict(head["meta"])
+        specs = [(name, dtype, tuple(shape)) for name, dtype, shape in head["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptHeaderError(f"{path}: unreadable JSON block: {exc}") from None
+    arrays = {}
+    for name, dtype, shape in specs:
+        if (not isinstance(name, str) or dtype not in _DTYPES
+                or any(type(d) is not int or d < 0 for d in shape)):
+            raise CorruptHeaderError(f"{path}: invalid layout for array {name!r}")
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(blob):
+            raise PayloadShapeError(f"{path}: array {name!r} runs past the end of the file")
+        arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape).copy()
+        offset = end
+    if offset != len(blob):
+        raise PayloadShapeError(f"{path}: {len(blob) - offset} bytes after the last array")
+    return arrays, meta
+
+
 def save_dataset(ds: LabeledDataset, path) -> None:
-    shape = ds.features.shape
-    header = struct.pack(
-        "<4sHII B", MAGIC, FORMAT_VERSION, ds.num_classes, shape[0], len(shape) - 1
-    )
-    dims = struct.pack(f"<{len(shape) - 1}I", *shape[1:])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dims)
-        fh.write(ds.features.astype("<f4", copy=False).tobytes())
-        fh.write(ds.clean_labels.astype("<i4", copy=False).tobytes())
-        fh.write(ds.noisy_labels.astype("<i4", copy=False).tobytes())
-        fh.write(ds.corrupted.astype(np.uint8).tobytes())
+    arrays = {name: getattr(ds, name) for name in _DATASET_DTYPES}
+    write_arrays(path, arrays, {"num_classes": int(ds.num_classes)})
 
 
 def load_dataset(path) -> LabeledDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_fmt = "<4sHII B"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < head_size:
-        raise CorruptHeaderError(f"{path}: truncated header")
-    magic, version, c, n, ndim = struct.unpack_from(head_fmt, blob)
-    if magic != MAGIC:
-        raise CorruptHeaderError(f"{path}: bad magic bytes {magic!r}")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, expected {FORMAT_VERSION}"
-        )
-    offset = head_size
-    if len(blob) < offset + 4 * ndim:
-        raise CorruptHeaderError(f"{path}: truncated shape record")
-    dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-    offset += 4 * ndim
-    feat_count = n * int(np.prod(dims, dtype=np.int64)) if ndim else n
-    expected = feat_count * 4 + n * 4 + n * 4 + n
-    if len(blob) - offset != expected:
-        raise PayloadShapeError(
-            f"{path}: payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    features = np.frombuffer(blob, dtype="<f4", count=feat_count, offset=offset)
-    offset += feat_count * 4
-    clean = np.frombuffer(blob, dtype="<i4", count=n, offset=offset)
-    offset += n * 4
-    noisy = np.frombuffer(blob, dtype="<i4", count=n, offset=offset)
-    offset += n * 4
-    corrupted = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset)
-    return LabeledDataset(
-        features=features.reshape((n,) + tuple(dims)).copy(),
-        clean_labels=clean.astype(np.int32),
-        noisy_labels=noisy.astype(np.int32),
-        corrupted=corrupted.astype(bool),
-        num_classes=int(c),
-    )
+    arrays, meta = read_arrays(path)
+    try:
+        fields = {name: arrays[name].astype(dtype, copy=False)
+                  for name, dtype in _DATASET_DTYPES.items()}
+        num_classes = meta["num_classes"]
+    except KeyError as exc:
+        raise CorruptHeaderError(f"{path}: not a dataset file, {exc} is missing") from None
+    return LabeledDataset(**fields, num_classes=num_classes)
 
 
 def export_labels_csv(ds: LabeledDataset, path) -> None:

@@ -259,9 +259,3 @@ def alpha_at(schedule: AlphaSchedule, epoch: int, total_epochs: int) -> float:
     # step: full supervision for the first half of the decay window
     return 1.0 if frac < 0.5 else 0.0
 
-
-def default_schedule(total_epochs: int) -> AlphaSchedule:
-    """Linear decay between 10% and 90% of training."""
-    start = max(0, int(round(0.1 * total_epochs)))
-    end = max(start + 1, int(round(0.9 * total_epochs)))
-    return AlphaSchedule(kind="linear", start_epoch=start, end_epoch=end)

@@ -209,22 +209,3 @@ class ModelSet:
                 raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arrays[name].shape}")
             p.data = arrays[name].astype(p.data.dtype, copy=True)
 
-
-def encode(backbone, x_batch: Tensor) -> Tensor:
-    """Backbone features for a batch."""
-    return backbone(x_batch)
-
-
-def classify(head: SoftmaxHead, features: Tensor) -> Tensor:
-    """Class probabilities, rows summing to 1."""
-    return head(features)
-
-
-def cluster_assign(head: SoftmaxHead, features: Tensor) -> Tensor:
-    """Cluster probabilities, rows summing to 1."""
-    return head(features)
-
-
-def decode(decoder, features: Tensor) -> Tensor:
-    """Reconstruction with values in [0, 1]."""
-    return decoder(features)

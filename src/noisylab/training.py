@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,12 +22,15 @@ from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
 from .autodiff import Tensor
 from .data import (
+    DatasetFileError,
     LabeledDataset,
     NoiseSpec,
     generate_blobs,
     inject_noise,
     load_dataset,
+    read_arrays,
     save_dataset,
+    write_arrays,
 )
 from .losses import (
     AlphaSchedule,
@@ -41,8 +43,6 @@ from .losses import (
 )
 from .models import ModelSet
 
-CKPT_MAGIC = b"NLCK"
-CKPT_VERSION = 1
 DIVERGENCE_LIMIT = 1e4
 
 METRICS_COLUMNS = [
@@ -111,8 +111,7 @@ def lr_at(base_lr: float, epoch: int, total_epochs: int, milestones=(0.5, 0.75),
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_DTYPE_CODES = {"<f4": 0, "<f8": 1, "<i4": 2, "|u1": 3}
-_CODE_DTYPES = {0: "<f4", 1: "<f8", 2: "<i4", 3: "|u1"}
+_CKPT_META = ("config_hash", "epoch", "best_acc", "best_epoch")
 
 
 class CheckpointError(IOError):
@@ -120,59 +119,19 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, arrays: dict, config_hash: str, epoch: int, best_acc: float, best_epoch: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sH64sidi", CKPT_MAGIC, CKPT_VERSION,
-                             config_hash.encode(), epoch, best_acc, best_epoch))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            dtype_str = arr.dtype.newbyteorder("<").str if arr.dtype.kind == "f" or arr.dtype.kind == "i" else arr.dtype.str
-            if dtype_str not in _DTYPE_CODES:
-                raise CheckpointError(f"unsupported dtype {arr.dtype} for {name!r}")
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", _DTYPE_CODES[dtype_str], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype(dtype_str, copy=False).tobytes())
+    meta = {"config_hash": config_hash, "epoch": int(epoch),
+            "best_acc": float(best_acc), "best_epoch": int(best_epoch)}
+    write_arrays(path, {name: arrays[name] for name in sorted(arrays)}, meta)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_fmt = "<4sH64sidi"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < head_size:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    magic, version, hash_bytes, epoch, best_acc, best_epoch = struct.unpack_from(head_fmt, blob)
-    if magic != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
-    offset = head_size
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode()
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", blob, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        dtype = np.dtype(_CODE_DTYPES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arrays[name] = np.frombuffer(blob, dtype=dtype, count=max(1, int(np.prod(shape, dtype=np.int64))) if ndim else 1, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    meta = {
-        "config_hash": hash_bytes.decode(),
-        "epoch": epoch,
-        "best_acc": best_acc,
-        "best_epoch": best_epoch,
-    }
-    return arrays, meta
+    try:
+        arrays, meta = read_arrays(path)
+        return arrays, {key: meta[key] for key in _CKPT_META}
+    except DatasetFileError as exc:
+        raise CheckpointError(str(exc)) from exc
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: not a checkpoint, {exc} is missing") from None
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +149,6 @@ class Experiment:
     policy: AugmentPolicy
     switches: LossSwitches
     schedule: AlphaSchedule
-
-    @property
-    def train_set(self):
-        return self.dataset.subset(self.train_idx)
 
 
 def build_dataset(cfg: dict) -> LabeledDataset:
@@ -289,15 +244,6 @@ class MetricsRecord:
     val_acc_clean: float
     corrupted_subset_acc: float
     seconds: float
-
-    def row(self):
-        return [
-            str(self.epoch), repr(self.lr), repr(self.alpha), repr(self.loss_total),
-            repr(self.loss_bootstrap), repr(self.loss_rec), repr(self.loss_cluster_R),
-            repr(self.loss_cluster_KL), repr(self.loss_cluster_Hcx),
-            repr(self.train_acc_noisy), repr(self.val_acc_clean),
-            repr(self.corrupted_subset_acc), repr(self.seconds),
-        ]
 
 
 def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
@@ -425,7 +371,7 @@ def _write_metrics_header(path):
 
 def _append_metrics(path, record: MetricsRecord):
     with open(path, "a", newline="") as fh:
-        fh.write(",".join(record.row()) + "\n")
+        fh.write(",".join(repr(getattr(record, c)) for c in METRICS_COLUMNS) + "\n")
 
 
 def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bool = False) -> dict:
@@ -433,9 +379,10 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
 
     Layout: config.txt, dataset.bin, metrics.csv, checkpoints/{init,best,last},
     summary.json. With ``resume=True`` the directory must hold a previous
-    partial run; training continues from the last checkpoint. ``stop_after``
-    stops cleanly after that many additional epochs (used to exercise
-    resume).
+    run; training continues from the last checkpoint, or from the initial one
+    if no epoch finished. Resuming a finished run returns its stored summary
+    and writes nothing. ``stop_after`` stops cleanly after that many
+    additional epochs (used to exercise resume).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -446,12 +393,15 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
     with _RunLock(out_dir):
         if resume:
             cfg = config_mod.load(out_dir / "config.txt")
-            dataset = load_dataset(out_dir / "dataset.bin")
-            exp = build_experiment(cfg, dataset)
-            arrays, meta = load_checkpoint(ckpt_dir / "last.ckpt")
+            last = ckpt_dir / "last.ckpt"
+            arrays, meta = load_checkpoint(last if last.exists() else ckpt_dir / "init.ckpt")
             chash = config_mod.config_hash(cfg)
             if meta["config_hash"] != chash:
                 raise CheckpointError("checkpoint was written by a different config")
+            summary_path = out_dir / "summary.json"
+            if meta["epoch"] == cfg["train.epochs"] and summary_path.exists():
+                return json.loads(summary_path.read_text())
+            exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"))
             _load_ckpt_state(exp, arrays)
             start_epoch = meta["epoch"]
             best_acc, best_epoch = meta["best_acc"], meta["best_epoch"]

@@ -8,7 +8,6 @@ from noisylab.autodiff import (
     avg_pool2d,
     conv2d,
     conv_transpose2d,
-    forward_op,
     grad_check,
     max_pool2d,
 )
@@ -20,17 +19,17 @@ def t64(arr, requires_grad=False):
 
 class TestForwardOps:
     def test_softmax_symmetry(self):
-        out = forward_op("softmax", [Tensor([0.0, 0.0])])
+        out = Tensor([0.0, 0.0]).softmax()
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_relu(self):
-        out = forward_op("relu", [Tensor([-1.0, 2.0])])
+        out = Tensor([-1.0, 2.0]).relu()
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 3))
-        out = forward_op("matmul", [t64(np.eye(3)), t64(a)])
+        out = t64(np.eye(3)).matmul(t64(a))
         np.testing.assert_allclose(out.data, a)
 
     def test_matmul_shape_error_names_operator(self):
@@ -40,10 +39,6 @@ class TestForwardOps:
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
             Tensor([1.0, -1.0]).log()
-
-    def test_unknown_kind(self):
-        with pytest.raises(KeyError):
-            forward_op("frobnicate", [Tensor([1.0])])
 
     def test_softmax_rows_normalized(self):
         rng = np.random.default_rng(0)

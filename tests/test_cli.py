@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,45 @@ def test_train_and_export(tmp_path, capsys):
     assert (run / "gallery.pgm").read_bytes().startswith(b"P5\n")
 
 
-def test_train_resume(tmp_path):
+def test_train_resume(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
-    # a finished run resumes to a no-op without error
+    files = ("summary.json", "metrics.csv", "checkpoints/last.ckpt", "checkpoints/best.ckpt")
+    before = {name: (run / name).read_bytes() for name in files}
+    capsys.readouterr()
+    # a finished run resumes to a no-op: it reports the stored summary and writes nothing
     assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_OK
+    assert {name: (run / name).read_bytes() for name in files} == before
+    assert "best_acc=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", ["halved", "trailing bytes"])
+def test_resume_rejects_damaged_checkpoint(tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
+    ckpt = run / "checkpoints" / "last.ckpt"
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2] if damage == "halved" else blob + bytes(400))
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    assert "error:" in capsys.readouterr().err
+
+
+def test_version_1_files_rejected(tmp_path, capsys):
+    # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
+    old_dataset = tmp_path / "old.bin"
+    old_dataset.write_bytes(struct.pack("<4sHII BI", b"NLDS", 1, 2, 2, 1, 1) + bytes(2 * 13))
+    code = main(["corrupt", "--input", str(old_dataset), "--kind", "symmetric",
+                 "--eps", "0.5", "--out", str(tmp_path / "o.bin")])
+    assert code == EXIT_RUNTIME
+    assert "format version 1" in capsys.readouterr().err
+
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
+    # version-1 checkpoint: magic, u16 version, hash, epoch, best_acc, best_epoch, count
+    (run / "checkpoints" / "last.ckpt").write_bytes(
+        struct.pack("<4sH64sidiI", b"NLCK", 1, b"a" * 64, 2, 0.5, 1, 0))
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_rejects_bad_config(tmp_path, capsys):

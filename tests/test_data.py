@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from noisylab.data import (
     CorruptHeaderError,
     DatasetError,
+    DatasetFileError,
     DoubleInjectionError,
     LabeledDataset,
     NoiseSpec,
@@ -14,7 +18,9 @@ from noisylab.data import (
     generate_blobs,
     inject_noise,
     load_dataset,
+    read_arrays,
     save_dataset,
+    write_arrays,
 )
 
 
@@ -92,12 +98,6 @@ class TestLabeledDataset:
             LabeledDataset(feats, labels + 5, labels + 5, np.zeros(4, bool), 2)
         with pytest.raises(DatasetError):
             LabeledDataset(feats, labels, labels, np.ones(4, bool), 2)
-
-    def test_subset(self):
-        ds = generate_blobs(20, 2, 2, 1.0, seed=0)
-        sub = ds.subset([3, 5, 7])
-        assert len(sub) == 3
-        np.testing.assert_array_equal(sub.features, ds.features[[3, 5, 7]])
 
 
 class TestInjectNoise:
@@ -222,6 +222,28 @@ class TestPersistence:
         with pytest.raises(PayloadShapeError):
             load_dataset(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ds = generate_blobs(8, 2, 2, 1.0, seed=0)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(PayloadShapeError):
+            load_dataset(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        # version-1 layout: magic, u16 version, u32 classes, u32 samples,
+        # u8 ndim, u32 dims, then features, labels and flags
+        path = tmp_path / "v1.bin"
+        path.write_bytes(struct.pack("<4sHII BI", b"NLDS", 1, 2, 2, 1, 1) + bytes(2 * 13))
+        with pytest.raises(VersionMismatchError):
+            load_dataset(path)
+
+    def test_not_a_dataset(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_arrays(path, {"features": np.zeros((2, 3), np.float32)}, {"num_classes": 2})
+        with pytest.raises(CorruptHeaderError):
+            load_dataset(path)
+
     def test_labels_csv(self, tmp_path):
         ds = generate_blobs(10, 2, 2, 1.0, seed=0)
         path = tmp_path / "labels.csv"
@@ -229,3 +251,58 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,clean_label,noisy_label,corrupted"
         assert len(lines) == 11
+
+
+def _container(block: dict, payload: bytes = b"") -> bytes:
+    raw = json.dumps(block).encode()
+    return b"NLDS" + (2).to_bytes(2, "little") + len(raw).to_bytes(4, "little") + raw + payload
+
+
+class TestArrayContainer:
+    def test_roundtrip_dtypes_shapes_and_meta(self, tmp_path):
+        arrays = {
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3), dtype=np.int32),
+            "big_endian": np.arange(4, dtype=">f8"),
+            "transposed": np.arange(6, dtype=np.int64).reshape(2, 3).T,
+            "bytes": np.array([0, 255], dtype=np.uint8),
+            "flags": np.array([True, False]),
+        }
+        meta = {"hash": "ab", "epoch": 3, "acc": -1.0}
+        path = tmp_path / "a.bin"
+        write_arrays(path, arrays, meta)
+        out, out_meta = read_arrays(path)
+        assert out_meta == meta and list(out) == list(arrays)
+        for name, arr in arrays.items():
+            assert out[name].dtype == arr.dtype.newbyteorder("<")
+            np.testing.assert_array_equal(out[name], arr)
+            assert out[name].flags.writeable
+        assert not (tmp_path / "a.bin.tmp").exists()
+
+    def test_unsupported_dtype_not_written(self, tmp_path):
+        with pytest.raises(DatasetFileError):
+            write_arrays(tmp_path / "a.bin", {"c": np.zeros(2, np.complex64)}, {})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blob", [
+        b"NLDS\x02\x00\xff\x00\x00\x00{}",
+        _container({"arrays": []}),
+        _container({"meta": {}, "arrays": [["x", "|O", [1]]]}, bytes(8)),
+        _container({"meta": {}, "arrays": [["x", "<f4", [-1]]]}),
+        _container({"meta": {}, "arrays": [["x", "<f4", [1.5]]]}),
+        _container({"meta": {}, "arrays": [[7, "<f4", [1]]]}, bytes(4)),
+        _container({"meta": {}, "arrays": [["x", "<f4"]]}),
+        _container({"meta": 3, "arrays": []}),
+    ])
+    def test_malformed_layout_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptHeaderError):
+            read_arrays(path)
+
+    @pytest.mark.parametrize("payload", [bytes(7), bytes(9), b""])
+    def test_payload_must_end_at_end_of_file(self, tmp_path, payload):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_container({"meta": {}, "arrays": [["x", "<f4", [2]]]}, payload))
+        with pytest.raises(PayloadShapeError):
+            read_arrays(path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noisylab import config as config_mod
 from noisylab.autodiff import Tensor
 from noisylab.losses import (
     AlphaSchedule,
@@ -13,12 +14,12 @@ from noisylab.losses import (
     cluster_loss,
     conditional_entropy,
     consistency_penalty,
-    default_schedule,
     marginal_entropy_term,
     reconstruction_loss,
     task_loss,
     total_loss,
 )
+from noisylab.training import build_schedule
 
 
 def _probs(rows, k, seed=0):
@@ -265,5 +266,5 @@ class TestAlphaSchedule:
             alpha_at(AlphaSchedule(kind="constant"), 60, 60)
 
     def test_default_schedule_window(self):
-        sched = default_schedule(60)
+        sched = build_schedule(config_mod.default_config())
         assert sched.start_epoch == 6 and sched.end_epoch == 54

@@ -9,10 +9,6 @@ from noisylab.models import (
     MlpDecoder,
     ModelSet,
     SoftmaxHead,
-    classify,
-    cluster_assign,
-    decode,
-    encode,
 )
 
 
@@ -132,7 +128,7 @@ class TestModelSet:
     def test_conv_model_set_end_to_end(self):
         ms = _models(backbone="conv")
         x = Tensor(_rng(3).uniform(0, 1, (2, 8, 8)).astype(np.float32))
-        feats = encode(ms.backbone, x)
-        assert classify(ms.classifier, feats).shape == (2, 4)
-        assert cluster_assign(ms.cluster_head, feats).shape == (2, 3)
-        assert decode(ms.decoder, feats).shape == (2, 8, 8)
+        feats = ms.backbone(x)
+        assert ms.classifier(feats).shape == (2, 4)
+        assert ms.cluster_head(feats).shape == (2, 3)
+        assert ms.decoder(feats).shape == (2, 8, 8)

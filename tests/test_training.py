@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from noisylab import config as config_mod
+from noisylab import data as data_mod
 from noisylab.autodiff import Tensor
 from noisylab.training import (
     ABLATION_ROWS,
@@ -108,6 +110,27 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"w": np.zeros(3, np.float32)}, "a" * 64, 1, 0.5, 0)
+        path.write_bytes(path.read_bytes() + bytes(400))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        # version-1 header: magic, u16 version, 64-byte hash, epoch,
+        # best_acc, best_epoch, then a u32 array count
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(struct.pack("<4sH64sidiI", b"NLCK", 1, b"a" * 64, 1, 0.5, 0, 0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_dataset_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        data_mod.save_dataset(build_dataset(tiny_config()), path)
+        with pytest.raises(CheckpointError, match="config_hash"):
+            load_checkpoint(path)
+
 
 class TestWiring:
     def test_build_dataset_applies_noise(self):
@@ -151,6 +174,14 @@ class TestWiring:
         assert rec_a.val_acc_clean == rec_b.val_acc_clean
 
 
+def _assert_same_checkpoints(run, twin):
+    for name in ("init", "best", "last"):
+        a, meta_a = load_checkpoint(run / "checkpoints" / f"{name}.ckpt")
+        b, meta_b = load_checkpoint(twin / "checkpoints" / f"{name}.ckpt")
+        assert meta_a == meta_b and list(a) == list(b)
+        assert all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes() for k in b)
+
+
 class TestRunExperiment:
     def test_run_dir_layout(self, tmp_path):
         cfg = tiny_config()
@@ -188,6 +219,60 @@ class TestRunExperiment:
         b, _ = load_checkpoint(tmp_path / "halves" / "checkpoints" / "last.ckpt")
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_resume_before_first_epoch_starts_from_init(self, tmp_path):
+        cfg = tiny_config()
+        run_experiment(cfg, tmp_path / "full")
+        run_experiment(cfg, tmp_path / "run", stop_after=0)
+        assert not (tmp_path / "run" / "checkpoints" / "last.ckpt").exists()
+        run_experiment({}, tmp_path / "run", resume=True)
+        _assert_same_checkpoints(tmp_path / "run", tmp_path / "full")
+        # all columns except wall-clock seconds must agree exactly
+        strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        assert strip(tmp_path / "run" / "metrics.csv") == strip(tmp_path / "full" / "metrics.csv")
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
+        class FailingPayload:
+            """A file whose first array write fails, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:  # header, JSON block, first array
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        opened = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if str(path).endswith("last.ckpt.tmp"):
+                opened.append(path)
+                if len(opened) == 2:
+                    return FailingPayload(fh)
+            return fh
+
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        monkeypatch.setattr(data_mod, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            run_experiment(cfg, run)
+        monkeypatch.undo()
+        ckpt_dir = run / "checkpoints"
+        assert not (ckpt_dir / "last.ckpt.tmp").exists() and not (run / ".lock").exists()
+        assert load_checkpoint(ckpt_dir / "last.ckpt")[1]["epoch"] == 1
+
+        run_experiment({}, run, resume=True)
+        run_experiment(cfg, tmp_path / "full")
+        _assert_same_checkpoints(run, tmp_path / "full")
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 2})
