@@ -98,49 +98,78 @@ def sample_pipeline(policy: AugmentPolicy, rng_seed: int) -> AugmentPipeline:
 
 def apply_op(op: AugmentOp, x: np.ndarray) -> np.ndarray:
     """Apply one op to a single sample (copy; the input is never mutated)."""
-    image_shaped = x.ndim == 2
-    if not image_shaped and op.kind in SPATIAL_OPS:
-        raise UnsupportedOpError(f"{op.kind} requires image-shaped input, got shape {x.shape}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(op.seed)))
-    out = x.copy()
+    return _apply_slot((op,), x[None])[0]
 
-    if op.kind == "cutout":
-        h, w = x.shape
-        side_h = int(round(op.params["side_frac"] * h))
-        side_w = int(round(op.params["side_frac"] * w))
-        if side_h and side_w:
-            top = int(rng.integers(0, h - side_h + 1))
-            left = int(rng.integers(0, w - side_w + 1))
-            out[top : top + side_h, left : left + side_w] = CUTOUT_FILL
-    elif op.kind == "gaussian-noise":
-        sigma = op.params["sigma"]
-        if sigma > 0:
-            out = out + rng.normal(0.0, sigma, size=x.shape).astype(x.dtype)
-    elif op.kind == "brightness-shift":
-        out = out + np.asarray(op.params["delta"], dtype=x.dtype)
-    elif op.kind == "contrast-scale":
-        if op.params["scale"] != 1.0:
-            center = 0.5 if image_shaped else 0.0
-            out = center + np.asarray(op.params["scale"], dtype=x.dtype) * (out - center)
-    elif op.kind == "translate":
-        h, w = x.shape
-        limit_h = int(round(op.params["max_frac"] * h))
-        limit_w = int(round(op.params["max_frac"] * w))
-        dy = int(rng.integers(-limit_h, limit_h + 1)) if limit_h else 0
-        dx = int(rng.integers(-limit_w, limit_w + 1)) if limit_w else 0
-        if dy or dx:
-            shifted = np.full_like(x, TRANSLATE_FILL)
-            ys, yd = _shift_slices(h, dy)
-            xs, xd = _shift_slices(w, dx)
-            shifted[yd, xd] = x[ys, xs]
-            out = shifted
-    elif op.kind == "horizontal-flip":
-        if rng.random() < op.params["prob"]:
-            out = out[:, ::-1].copy()
+
+def _op_rng(op: AugmentOp) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(op.seed)))
+
+
+def _apply_slot(ops, batch: np.ndarray) -> np.ndarray:
+    """Apply ``ops[i]`` to ``batch[i]`` for every row; returns a new array.
+
+    Rows are grouped by op kind. Value ops run as one array expression per
+    group with per-row scalars in the batch dtype; cutout, translate and
+    flip write per-row slices. Each op's generator is built only when the
+    op draws from it, and image rows are clipped once at the end, so every
+    row gets the same float operations as when it is augmented alone.
+    """
+    image_shaped = batch.ndim == 3
+    rows_of = {}
+    for row, op in enumerate(ops):
+        if not image_shaped and op.kind in SPATIAL_OPS:
+            raise UnsupportedOpError(f"{op.kind} requires image-shaped input, got shape {batch.shape[1:]}")
+        rows_of.setdefault(op.kind, []).append(row)
+    out = batch.copy()
+    per_row = (-1,) + (1,) * (batch.ndim - 1)
+
+    def scalars(rows, key):
+        return np.array([ops[r].params[key] for r in rows], dtype=batch.dtype).reshape(per_row)
+
+    for kind, rows in rows_of.items():
+        if kind == "cutout":
+            _, h, w = batch.shape
+            for r in rows:
+                side_h = int(round(ops[r].params["side_frac"] * h))
+                side_w = int(round(ops[r].params["side_frac"] * w))
+                if side_h and side_w:
+                    rng = _op_rng(ops[r])
+                    top = int(rng.integers(0, h - side_h + 1))
+                    left = int(rng.integers(0, w - side_w + 1))
+                    out[r, top : top + side_h, left : left + side_w] = CUTOUT_FILL
+        elif kind == "gaussian-noise":
+            rows = [r for r in rows if ops[r].params["sigma"] > 0]
+            if rows:
+                noise = [_op_rng(ops[r]).normal(0.0, ops[r].params["sigma"], size=batch.shape[1:])
+                         for r in rows]
+                out[rows] = out[rows] + np.array(noise).astype(batch.dtype)
+        elif kind == "brightness-shift":
+            out[rows] = out[rows] + scalars(rows, "delta")
+        elif kind == "contrast-scale":
+            rows = [r for r in rows if ops[r].params["scale"] != 1.0]
+            if rows:
+                center = 0.5 if image_shaped else 0.0
+                out[rows] = center + scalars(rows, "scale") * (out[rows] - center)
+        elif kind == "translate":
+            _, h, w = batch.shape
+            for r in rows:
+                limit_h = int(round(ops[r].params["max_frac"] * h))
+                limit_w = int(round(ops[r].params["max_frac"] * w))
+                rng = _op_rng(ops[r]) if limit_h or limit_w else None
+                dy = int(rng.integers(-limit_h, limit_h + 1)) if limit_h else 0
+                dx = int(rng.integers(-limit_w, limit_w + 1)) if limit_w else 0
+                if dy or dx:
+                    ys, yd = _shift_slices(h, dy)
+                    xs, xd = _shift_slices(w, dx)
+                    out[r] = TRANSLATE_FILL
+                    out[r, yd, xd] = batch[r, ys, xs]
+        else:  # horizontal-flip
+            rows = [r for r in rows if _op_rng(ops[r]).random() < ops[r].params["prob"]]
+            out[rows] = out[rows, :, ::-1]
 
     if image_shaped:
-        out = np.clip(out, 0.0, 1.0)
-    return out.astype(x.dtype, copy=False)
+        np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
 def _shift_slices(size, delta):
@@ -150,18 +179,12 @@ def _shift_slices(size, delta):
     return slice(-delta, size), slice(0, size + delta)
 
 
-def apply(pipeline: AugmentPipeline, x: np.ndarray) -> np.ndarray:
-    """Apply all ops in order to one sample; returns a new array."""
-    out = x
-    for op in pipeline.ops:
-        out = apply_op(op, out)
-    return out if out is not x else x.copy()
-
-
 def augment_batch(policy: AugmentPolicy, batch: np.ndarray, global_seed: int, epoch: int, sample_indices) -> np.ndarray:
-    """Fresh per-sample pipelines, seeded by (global seed, epoch, index)."""
-    out = np.empty_like(batch)
-    for row, idx in enumerate(sample_indices):
-        pipe = sample_pipeline(policy, derive_seed(global_seed, epoch, idx))
-        out[row] = apply(pipe, batch[row])
-    return out
+    """Fresh per-sample pipelines, seeded by (global seed, epoch, index),
+    applied one op slot at a time to the whole batch."""
+    slots = zip(*(sample_pipeline(policy, derive_seed(global_seed, epoch, idx)).ops
+                  for idx in sample_indices))
+    out = batch
+    for ops in slots:
+        out = _apply_slot(ops, out)
+    return out if out is not batch else batch.copy()

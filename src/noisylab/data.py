@@ -22,6 +22,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,8 +248,7 @@ def write_arrays(path, arrays: dict, meta: dict) -> None:
 
     Layout: MAGIC, u16 FORMAT_VERSION, u32 length of a JSON block holding
     ``meta`` and each array's name, dtype and shape, then each array's
-    little-endian bytes in order. The file is written to ``<path>.tmp`` and
-    renamed into place, so ``path`` never holds a partial file.
+    little-endian bytes in order, written through ``replacing``.
     """
     layout, payload = [], []
     for name, arr in arrays.items():
@@ -259,13 +259,23 @@ def write_arrays(path, arrays: dict, meta: dict) -> None:
         layout.append([name, dtype.str, list(arr.shape)])
         payload.append(arr.astype(dtype, copy=False))
     block = json.dumps({"meta": meta, "arrays": layout}).encode()
+    with replacing(path) as fh:
+        fh.write(MAGIC + FORMAT_VERSION.to_bytes(2, "little") + len(block).to_bytes(4, "little"))
+        fh.write(block)
+        for arr in payload:
+            fh.write(arr.tobytes())
+
+
+@contextmanager
+def replacing(path):
+    """Binary file handle whose contents replace ``path`` when the block
+    ends. It writes ``<path>.tmp`` and renames it into place, so ``path``
+    never holds a partial file; the temp file is removed if the block
+    raises."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC + FORMAT_VERSION.to_bytes(2, "little") + len(block).to_bytes(4, "little"))
-            fh.write(block)
-            for arr in payload:
-                fh.write(arr.tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -29,6 +29,7 @@ from .data import (
     inject_noise,
     load_dataset,
     read_arrays,
+    replacing,
     save_dataset,
     write_arrays,
 )
@@ -264,27 +265,35 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     batch_size = cfg["train.batch_size"]
     sums = {"total": 0.0, "bootstrap": 0.0, "rec": 0.0, "R": 0.0, "KL": 0.0, "Hcx": 0.0}
     seen = 0
+    # Each view is built only when an enabled loss reads it. Augmentation is
+    # stateless per (seed, epoch, index), so a skipped view changes no other
+    # number.
+    sw = exp.switches
+    classify_clean = cfg["losses.classification_view"] == "clean"
+    needs_aug = sw.reconstruction or sw.cluster or (sw.bootstrap and not classify_clean)
+    needs_clean = sw.cluster or (sw.bootstrap and classify_clean)
 
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
         x_clean_np = ds.features[idx]
-        x_aug_np = augment_batch(exp.policy, x_clean_np, cfg["seeds.augment"], epoch, idx)
-        x_aug = Tensor(x_aug_np)
-        feat_aug = exp.models.backbone(x_aug)
+        feat_aug = None
+        if needs_aug:
+            x_aug_np = augment_batch(exp.policy, x_clean_np, cfg["seeds.augment"], epoch, idx)
+            feat_aug = exp.models.backbone(Tensor(x_aug_np))
 
         feat_clean = None
-        if exp.switches.cluster or cfg["losses.classification_view"] == "clean":
+        if needs_clean:
             feat_clean = exp.models.backbone(Tensor(x_clean_np))
 
         parts = {}
-        if exp.switches.bootstrap:
-            feats = feat_clean if cfg["losses.classification_view"] == "clean" else feat_aug
+        if sw.bootstrap:
+            feats = feat_clean if classify_clean else feat_aug
             log_pred = exp.models.classifier.log_probs(feats)
             parts["bootstrap"] = bootstrap_loss(log_pred, noisy_onehot[idx], alpha)
-        if exp.switches.reconstruction:
+        if sw.reconstruction:
             x_hat = exp.models.decoder(feat_aug)
             parts["reconstruction"] = reconstruction_loss(x_hat, x_clean_np)
-        if exp.switches.cluster:
+        if sw.cluster:
             clean_probs = exp.models.cluster_head(feat_clean)
             aug_probs = exp.models.cluster_head(feat_aug)
             parts["cluster"] = cluster_loss(clean_probs, aug_probs, cfg["losses.lambda"],
@@ -337,17 +346,41 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
 # ---------------------------------------------------------------------------
 
 class _RunLock:
+    """Exclusive ``.lock`` file holding the owner's PID. A lock whose PID
+    names no running process was left by a crash and is taken over."""
+
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
 
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RunLockError(f"run directory is locked: {self.path}") from None
+        for takeover in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if takeover or not self._stale():
+                    raise RunLockError(f"run directory is locked: {self.path}") from None
+                self.path.unlink(missing_ok=True)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
+
+    def _stale(self) -> bool:
+        try:
+            pid = int(self.path.read_text())
+        except FileNotFoundError:
+            return True  # released since the create failed
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:
+            return False  # os.kill would signal a process group
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (PermissionError, OverflowError):  # another user's process, or no PID
+            pass
+        return False
 
     def __exit__(self, *exc):
         try:
@@ -374,14 +407,39 @@ def _append_metrics(path, record: MetricsRecord):
         fh.write(",".join(repr(getattr(record, c)) for c in METRICS_COLUMNS) + "\n")
 
 
+def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
+    """Keep the header and the first ``epochs`` rows of metrics.csv; return
+    the last kept row, or None when ``epochs`` is 0.
+
+    A crash after an epoch's row was appended but before its checkpoint was
+    saved leaves extra rows; only then is the file cut.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    if len(lines) < epochs + 1:
+        raise CheckpointError(f"{path}: {len(lines) - 1} rows for {epochs} finished epochs")
+    if len(lines) > epochs + 1:
+        with open(path, "r+b") as fh:
+            fh.truncate(sum(len(line) for line in lines[: epochs + 1]))
+    if epochs == 0:
+        return None
+    try:
+        epoch, *values = lines[epochs].decode().split(",")
+        return MetricsRecord(int(epoch), *map(float, values))
+    except (ValueError, TypeError):
+        raise CheckpointError(f"{path}: malformed row for epoch {epochs - 1}") from None
+
+
 def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bool = False) -> dict:
     """Execute all epochs of a config into a self-describing run directory.
 
     Layout: config.txt, dataset.bin, metrics.csv, checkpoints/{init,best,last},
     summary.json. With ``resume=True`` the directory must hold a previous
     run; training continues from the last checkpoint, or from the initial one
-    if no epoch finished. Resuming a finished run returns its stored summary
-    and writes nothing. ``stop_after`` stops cleanly after that many
+    if no epoch finished, after cutting metrics.csv back to the checkpoint's
+    epoch. Resuming a finished run returns its stored summary and writes
+    nothing; if the summary is missing, it is rebuilt from the last row of
+    metrics.csv. ``stop_after`` stops cleanly after that many
     additional epochs (used to exercise resume).
     """
     out_dir = Path(out_dir)
@@ -401,6 +459,7 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             summary_path = out_dir / "summary.json"
             if meta["epoch"] == cfg["train.epochs"] and summary_path.exists():
                 return json.loads(summary_path.read_text())
+            record = _trim_metrics(metrics_path, meta["epoch"])
             exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"))
             _load_ckpt_state(exp, arrays)
             start_epoch = meta["epoch"]
@@ -415,10 +474,10 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             save_checkpoint(ckpt_dir / "init.ckpt", _ckpt_state(exp), chash, 0, -1.0, -1)
             start_epoch = 0
             best_acc, best_epoch = -1.0, -1
+            record = None
 
         total = cfg["train.epochs"]
         end_epoch = total if stop_after is None else min(total, start_epoch + stop_after)
-        record = None
         for epoch in range(start_epoch, end_epoch):
             record = train_epoch(exp, epoch)
             _append_metrics(metrics_path, record)
@@ -439,9 +498,8 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             "last_corrupted_subset_acc": record.corrupted_subset_acc if record is not None else None,
         }
         if finished:
-            with open(out_dir / "summary.json", "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with replacing(out_dir / "summary.json") as fh:
+                fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
         return summary
 
 

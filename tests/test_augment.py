@@ -4,11 +4,12 @@ import pytest
 from noisylab.augment import (
     ALL_OPS,
     CUTOUT_FILL,
+    SPATIAL_OPS,
+    TRANSLATE_FILL,
+    VALUE_OPS,
     AugmentOp,
-    AugmentPipeline,
     AugmentPolicy,
     UnsupportedOpError,
-    apply,
     apply_op,
     augment_batch,
     derive_seed,
@@ -65,10 +66,8 @@ class TestIdentityAtZeroMagnitude:
     @pytest.mark.parametrize("kind", ALL_OPS)
     def test_zero_magnitude_is_identity(self, kind):
         policy = AugmentPolicy(op_pool=(kind,), num_ops=1, magnitude=0.0)
-        x = _image(3)
-        for seed in range(10):
-            pipe = sample_pipeline(policy, seed)
-            np.testing.assert_array_equal(apply(pipe, x), x)
+        batch = np.stack([_image(3)] * 10)
+        np.testing.assert_array_equal(augment_batch(policy, batch, 0, 0, np.arange(10)), batch)
 
 
 class TestOps:
@@ -143,11 +142,11 @@ class TestOps:
 
 
 class TestApplyAndBatch:
-    def test_empty_pipeline_returns_copy(self):
-        x = _image(0)
-        out = apply(AugmentPipeline(ops=(), magnitude=0.0), x)
-        np.testing.assert_array_equal(out, x)
-        assert out is not x
+    def test_empty_batch_returns_copy(self):
+        batch = np.zeros((0, 10, 10), dtype=np.float32)
+        out = augment_batch(AugmentPolicy(), batch, 0, 0, [])
+        assert out.shape == batch.shape and out.dtype == batch.dtype
+        assert out is not batch
 
     def test_batch_deterministic(self):
         policy = AugmentPolicy(magnitude=0.7)
@@ -170,3 +169,111 @@ class TestApplyAndBatch:
         batch = np.stack([_image(i) for i in range(8)])
         out = augment_batch(policy, batch, 1, 0, np.arange(8))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def _oracle_apply_op(op, x):
+    """The per-sample op kernel that batched augmentation must reproduce
+    byte for byte (kept here as the reference)."""
+    image_shaped = x.ndim == 2
+    if not image_shaped and op.kind in SPATIAL_OPS:
+        raise UnsupportedOpError(f"{op.kind} requires image-shaped input, got shape {x.shape}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(op.seed)))
+    out = x.copy()
+
+    if op.kind == "cutout":
+        h, w = x.shape
+        side_h = int(round(op.params["side_frac"] * h))
+        side_w = int(round(op.params["side_frac"] * w))
+        if side_h and side_w:
+            top = int(rng.integers(0, h - side_h + 1))
+            left = int(rng.integers(0, w - side_w + 1))
+            out[top : top + side_h, left : left + side_w] = CUTOUT_FILL
+    elif op.kind == "gaussian-noise":
+        sigma = op.params["sigma"]
+        if sigma > 0:
+            out = out + rng.normal(0.0, sigma, size=x.shape).astype(x.dtype)
+    elif op.kind == "brightness-shift":
+        out = out + np.asarray(op.params["delta"], dtype=x.dtype)
+    elif op.kind == "contrast-scale":
+        if op.params["scale"] != 1.0:
+            center = 0.5 if image_shaped else 0.0
+            out = center + np.asarray(op.params["scale"], dtype=x.dtype) * (out - center)
+    elif op.kind == "translate":
+        h, w = x.shape
+        limit_h = int(round(op.params["max_frac"] * h))
+        limit_w = int(round(op.params["max_frac"] * w))
+        dy = int(rng.integers(-limit_h, limit_h + 1)) if limit_h else 0
+        dx = int(rng.integers(-limit_w, limit_w + 1)) if limit_w else 0
+        if dy or dx:
+            shifted = np.full_like(x, TRANSLATE_FILL)
+            ys, yd = _oracle_shift(h, dy)
+            xs, xd = _oracle_shift(w, dx)
+            shifted[yd, xd] = x[ys, xs]
+            out = shifted
+    elif op.kind == "horizontal-flip":
+        if rng.random() < op.params["prob"]:
+            out = out[:, ::-1].copy()
+
+    if image_shaped:
+        out = np.clip(out, 0.0, 1.0)
+    return out.astype(x.dtype, copy=False)
+
+
+def _oracle_shift(size, delta):
+    if delta >= 0:
+        return slice(0, size - delta), slice(delta, size)
+    return slice(-delta, size), slice(0, size + delta)
+
+
+def _oracle_augment_batch(policy, batch, global_seed, epoch, sample_indices):
+    out = np.empty_like(batch)
+    for row, idx in enumerate(sample_indices):
+        x = batch[row]
+        for op in sample_pipeline(policy, derive_seed(global_seed, epoch, idx)).ops:
+            x = _oracle_apply_op(op, x)
+        out[row] = x
+    return out
+
+
+def _edge_batch(shape, dtype, seed=0):
+    """Values in and just outside [0, 1], with exact 0, -0, 0.5 and 1."""
+    x = np.random.default_rng(seed).uniform(-0.1, 1.1, size=shape).astype(dtype)
+    flat = x.reshape(len(x), -1)
+    flat[:, :4] = np.array([0.0, -0.0, 0.5, 1.0], dtype=dtype)
+    return x
+
+
+class TestBatchMatchesPerSample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("magnitude", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("num_ops", [1, 3])
+    @pytest.mark.parametrize("shape,pool", [((7, 9), ALL_OPS), ((11,), VALUE_OPS)],
+                             ids=["images", "flat"])
+    def test_byte_identical_to_per_sample_oracle(self, shape, pool, num_ops, magnitude, dtype):
+        policy = AugmentPolicy(op_pool=pool, num_ops=num_ops, magnitude=magnitude)
+        idx = np.arange(100, 160)
+        batch = _edge_batch((len(idx),) + shape, dtype)
+        drawn = {op.kind for i in idx for op in sample_pipeline(policy, derive_seed(4, 1, i)).ops}
+        assert drawn == set(pool)
+        out = augment_batch(policy, batch, 4, 1, idx)
+        expect = _oracle_augment_batch(policy, batch, 4, 1, idx)
+        assert out.dtype == expect.dtype and out.shape == expect.shape
+        assert out.tobytes() == expect.tobytes()
+        for row in (0, 17):
+            op = sample_pipeline(policy, derive_seed(4, 1, idx[row])).ops[0]
+            assert apply_op(op, batch[row]).tobytes() == _oracle_apply_op(op, batch[row]).tobytes()
+
+    def test_row_permutation_permutes_output(self):
+        policy = AugmentPolicy(magnitude=0.8, num_ops=3)
+        idx = np.arange(40)
+        batch = _edge_batch((40, 8, 8), np.float32)
+        perm = np.random.default_rng(1).permutation(40)
+        out = augment_batch(policy, batch, 2, 5, idx)
+        permuted = augment_batch(policy, batch[perm], 2, 5, idx[perm])
+        assert permuted.tobytes() == out[perm].tobytes()
+
+    @pytest.mark.parametrize("kind", SPATIAL_OPS)
+    def test_spatial_ops_on_flat_batch_raise(self, kind):
+        policy = AugmentPolicy(op_pool=(kind,), num_ops=1, magnitude=0.5)
+        with pytest.raises(UnsupportedOpError):
+            augment_batch(policy, np.zeros((4, 8), dtype=np.float32), 0, 0, np.arange(4))

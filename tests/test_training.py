@@ -1,11 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from noisylab import config as config_mod
 from noisylab import data as data_mod
+from noisylab import training as training_mod
 from noisylab.autodiff import Tensor
 from noisylab.training import (
     ABLATION_ROWS,
@@ -166,6 +170,28 @@ class TestWiring:
         assert 0.0 <= rec.val_acc_clean <= 1.0
         assert 0.0 <= rec.corrupted_subset_acc <= 1.0
 
+    @pytest.mark.parametrize("row,view,reads_aug", [
+        ("CE", "clean", False),
+        ("+A", "clean", False),
+        ("+A", "augmented", True),
+        ("+B", "clean", True),
+        ("+C", "clean", True),
+    ])
+    def test_augmented_view_only_when_a_loss_reads_it(self, monkeypatch, row, view, reads_aug):
+        class Augmented(Exception):
+            pass
+
+        def augment_batch(*args):
+            raise Augmented
+
+        monkeypatch.setattr(training_mod, "augment_batch", augment_batch)
+        exp = build_experiment(ablation_row_config(tiny_config(**{"losses.classification_view": view}), row))
+        if reads_aug:
+            with pytest.raises(Augmented):
+                train_epoch(exp, 0)
+        else:
+            assert np.isfinite(train_epoch(exp, 0).loss_total)
+
     def test_train_epoch_deterministic(self):
         cfg = tiny_config()
         rec_a = train_epoch(build_experiment(cfg), 0)
@@ -180,6 +206,40 @@ def _assert_same_checkpoints(run, twin):
         b, meta_b = load_checkpoint(twin / "checkpoints" / f"{name}.ckpt")
         assert meta_a == meta_b and list(a) == list(b)
         assert all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes() for k in b)
+
+
+class FailingPayload:
+    """A file whose first array write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:  # header, JSON block, first array
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+
+def _fail_second_last_ckpt_write(monkeypatch):
+    """Make the second write of ``last.ckpt`` fail at its first array."""
+    opened = []
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if str(path).endswith("last.ckpt.tmp"):
+            opened.append(path)
+            if len(opened) == 2:
+                return FailingPayload(fh)
+        return fh
+
+    monkeypatch.setattr(data_mod, "open", failing_open, raising=False)
 
 
 class TestRunExperiment:
@@ -201,9 +261,27 @@ class TestRunExperiment:
     def test_lock_blocks_second_run(self, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
-        (run / ".lock").write_text("123")
+        (run / ".lock").write_text(str(os.getpid()))
         with pytest.raises(RunLockError):
             run_experiment(tiny_config(), run)
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "0"])
+    def test_unreadable_lock_blocks(self, tmp_path, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / ".lock").write_text(content)
+        with pytest.raises(RunLockError):
+            run_experiment(tiny_config(), run)
+        assert (run / ".lock").read_text() == content
+
+    def test_lock_of_dead_process_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no process now
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / ".lock").write_text(str(child.pid))
+        assert run_experiment(tiny_config(), run)["finished"]
+        assert not (run / ".lock").exists()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 4})
@@ -232,37 +310,9 @@ class TestRunExperiment:
         assert strip(tmp_path / "run" / "metrics.csv") == strip(tmp_path / "full" / "metrics.csv")
 
     def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
-        class FailingPayload:
-            """A file whose first array write fails, as on a full disk."""
-
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 3:  # header, JSON block, first array
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
-
-        opened = []
-
-        def failing_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            if str(path).endswith("last.ckpt.tmp"):
-                opened.append(path)
-                if len(opened) == 2:
-                    return FailingPayload(fh)
-            return fh
-
         cfg = tiny_config()
         run = tmp_path / "run"
-        monkeypatch.setattr(data_mod, "open", failing_open, raising=False)
+        _fail_second_last_ckpt_write(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             run_experiment(cfg, run)
         monkeypatch.undo()
@@ -273,6 +323,49 @@ class TestRunExperiment:
         run_experiment({}, run, resume=True)
         run_experiment(cfg, tmp_path / "full")
         _assert_same_checkpoints(run, tmp_path / "full")
+
+    def test_crash_before_checkpoint_leaves_no_duplicate_row(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        _fail_second_last_ckpt_write(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            run_experiment(cfg, run)
+        monkeypatch.undo()
+        assert len((run / "metrics.csv").read_text().splitlines()) == 1 + 2  # epoch 1 row, no checkpoint
+
+        run_experiment({}, run, resume=True)
+        run_experiment(cfg, tmp_path / "full")
+        # all columns except wall-clock seconds must agree exactly
+        strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        rows = strip(run / "metrics.csv")
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert rows == strip(tmp_path / "full" / "metrics.csv")
+
+    def test_ordinary_resume_leaves_metrics_untouched(self, tmp_path):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run, stop_after=2)
+        before = os.stat(run / "metrics.csv")
+        run_experiment({}, run, resume=True, stop_after=0)
+        after = os.stat(run / "metrics.csv")
+        assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
+
+    def test_resume_rebuilds_missing_summary(self, tmp_path):
+        run = tmp_path / "run"
+        summary = run_experiment(tiny_config(), run)
+        written = (run / "summary.json").read_bytes()
+        (run / "summary.json").unlink()
+        assert run_experiment({}, run, resume=True) == summary
+        assert (run / "summary.json").read_bytes() == written
+        assert summary["last_acc"] is not None and summary["gap"] is not None
+        assert not (run / "summary.json.tmp").exists()
+
+    def test_resume_rejects_missing_metrics_rows(self, tmp_path):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run, stop_after=2)
+        lines = (run / "metrics.csv").read_text().splitlines(keepends=True)
+        (run / "metrics.csv").write_text("".join(lines[:2]))
+        with pytest.raises(CheckpointError, match="1 rows for 2 finished epochs"):
+            run_experiment({}, run, resume=True)
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 2})
