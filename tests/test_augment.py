@@ -4,12 +4,18 @@ import pytest
 from noisylab.augment import (
     ALL_OPS,
     CUTOUT_FILL,
+    MAX_BRIGHTNESS_DELTA,
+    MAX_CONTRAST_SWING,
+    MAX_NOISE_SIGMA,
+    MAX_TRANSLATE_FRAC,
     SPATIAL_OPS,
     TRANSLATE_FILL,
     VALUE_OPS,
     AugmentOp,
+    AugmentPipeline,
     AugmentPolicy,
     UnsupportedOpError,
+    _seed_states,
     apply_op,
     augment_batch,
     derive_seed,
@@ -35,6 +41,54 @@ class TestSeedDerivation:
         assert derive_seed(9, 2, 3) != base
         assert derive_seed(1, 9, 3) != base
         assert derive_seed(1, 2, 9) != base
+
+
+# Integers around every word boundary numpy's SeedSequence splits at.
+_ENTROPY_PARTS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**96 + 5]
+
+
+class TestSeedStates:
+    """The batched seeding must equal numpy's SeedSequence word for word."""
+
+    @pytest.mark.parametrize("n_words", [1, 4])
+    @pytest.mark.parametrize("n_parts", range(1, 7))
+    def test_matches_seed_sequence(self, n_parts, n_words):
+        pick = np.random.default_rng(n_parts).integers(0, len(_ENTROPY_PARTS), size=(24, n_parts))
+        pick[: len(_ENTROPY_PARTS), 0] = np.arange(len(_ENTROPY_PARTS))
+        rows = [tuple(_ENTROPY_PARTS[i] for i in r) for r in pick]
+        expect = np.stack([np.random.SeedSequence(r).generate_state(n_words, np.uint64) for r in rows])
+        for row, want in zip(rows, expect):
+            assert _seed_states(row, n_words).tolist() == [want.tolist()]
+        # one batch whose rows take different word layouts: each column as a
+        # list of Python ints, and as a uint64 array where every value fits
+        columns = [[r[j] for r in rows] for j in range(n_parts)]
+        assert _seed_states(columns, n_words).tolist() == expect.tolist()
+        arrays = [np.array(c, dtype=np.uint64) if max(c) < 2**64 else c for c in columns]
+        got = _seed_states(arrays, n_words)
+        assert got.dtype == np.uint64 and got.flags.c_contiguous
+        assert got.tolist() == expect.tolist()
+
+    def test_scalars_broadcast_over_arrays(self):
+        idx = np.array([0, 2**32 + 1, 7, 2**63], dtype=np.uint64)
+        expect = [np.random.SeedSequence((2**40, 0, int(i))).generate_state(4, np.uint64).tolist() for i in idx]
+        assert _seed_states((2**40, 0, idx), 4).tolist() == expect
+
+    @pytest.mark.parametrize("parts", [(1, -1), (np.array([3, -1]),), ([2**64, -2**70],)],
+                             ids=["scalar", "array", "list"])
+    def test_negative_part_raises_like_numpy(self, parts):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(tuple(int(p) for part in parts for p in np.atleast_1d(part)))
+        with pytest.raises(ValueError):
+            _seed_states(parts, 4)
+
+    def test_derive_seed_and_sample_pipeline_match_reference(self):
+        policy = AugmentPolicy(num_ops=3, magnitude=0.7)
+        for parts in [(3, 0, 0), (2**32, 5, 2**32 + 1), (0,), (2**64 - 1, 2**96 + 5)]:
+            seed = derive_seed(*parts)
+            assert seed == _oracle_derive_seed(*parts)
+            assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
+        for seed in _ENTROPY_PARTS:
+            assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
 
 
 class TestSamplePipeline:
@@ -171,6 +225,37 @@ class TestApplyAndBatch:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def _oracle_derive_seed(*parts):
+    """The per-sample seeding that batched seeding must reproduce (kept here
+    as the reference, built on numpy's SeedSequence)."""
+    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _oracle_sample_pipeline(policy, rng_seed):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    m = policy.magnitude
+    ops = []
+    for slot in range(policy.num_ops):
+        kind = policy.op_pool[int(rng.integers(0, len(policy.op_pool)))]
+        op_seed = int(rng.integers(0, 2**63 - 1))
+        if kind == "cutout":
+            params = {"side_frac": m}
+        elif kind == "gaussian-noise":
+            params = {"sigma": m * MAX_NOISE_SIGMA}
+        elif kind == "brightness-shift":
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            params = {"delta": sign * m * MAX_BRIGHTNESS_DELTA}
+        elif kind == "contrast-scale":
+            params = {"scale": 1.0 + m * MAX_CONTRAST_SWING * rng.uniform(-1.0, 1.0)}
+        elif kind == "translate":
+            params = {"max_frac": m * MAX_TRANSLATE_FRAC}
+        else:  # horizontal-flip
+            params = {"prob": m}
+        ops.append(AugmentOp(kind=kind, params=params, seed=op_seed))
+    return AugmentPipeline(ops=tuple(ops), magnitude=m)
+
+
 def _oracle_apply_op(op, x):
     """The per-sample op kernel that batched augmentation must reproduce
     byte for byte (kept here as the reference)."""
@@ -229,7 +314,7 @@ def _oracle_augment_batch(policy, batch, global_seed, epoch, sample_indices):
     out = np.empty_like(batch)
     for row, idx in enumerate(sample_indices):
         x = batch[row]
-        for op in sample_pipeline(policy, derive_seed(global_seed, epoch, idx)).ops:
+        for op in _oracle_sample_pipeline(policy, _oracle_derive_seed(global_seed, epoch, idx)).ops:
             x = _oracle_apply_op(op, x)
         out[row] = x
     return out
@@ -253,14 +338,14 @@ class TestBatchMatchesPerSample:
         policy = AugmentPolicy(op_pool=pool, num_ops=num_ops, magnitude=magnitude)
         idx = np.arange(100, 160)
         batch = _edge_batch((len(idx),) + shape, dtype)
-        drawn = {op.kind for i in idx for op in sample_pipeline(policy, derive_seed(4, 1, i)).ops}
+        drawn = {op.kind for i in idx for op in _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, i)).ops}
         assert drawn == set(pool)
         out = augment_batch(policy, batch, 4, 1, idx)
         expect = _oracle_augment_batch(policy, batch, 4, 1, idx)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()
         for row in (0, 17):
-            op = sample_pipeline(policy, derive_seed(4, 1, idx[row])).ops[0]
+            op = _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, idx[row])).ops[0]
             assert apply_op(op, batch[row]).tobytes() == _oracle_apply_op(op, batch[row]).tobytes()
 
     def test_row_permutation_permutes_output(self):
@@ -277,3 +362,32 @@ class TestBatchMatchesPerSample:
         policy = AugmentPolicy(op_pool=(kind,), num_ops=1, magnitude=0.5)
         with pytest.raises(UnsupportedOpError):
             augment_batch(policy, np.zeros((4, 8), dtype=np.float32), 0, 0, np.arange(4))
+
+    def test_mixed_word_layouts(self):
+        # a global seed past 32 bits, epoch 0 (one word) and indices of one
+        # and two words give rows of different entropy layouts in one batch
+        policy = AugmentPolicy(num_ops=3, magnitude=0.8)
+        idx = np.array([0, 2**32 + 1, 9, 2**32 + 1, 2**40])
+        batch = _edge_batch((len(idx), 8, 8), np.float32)
+        out = augment_batch(policy, batch, 2**32 + 3, 0, idx)
+        assert out.tobytes() == _oracle_augment_batch(policy, batch, 2**32 + 3, 0, idx).tobytes()
+        empty = np.zeros((0, 8, 8), dtype=np.float32)
+        out = augment_batch(policy, empty, 2**32 + 3, 0, idx[:0])
+        assert out.shape == empty.shape and out.dtype == empty.dtype and out is not empty
+
+    def test_no_seed_sequence_per_sample(self, monkeypatch):
+        made = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        policy = AugmentPolicy(magnitude=0.5, num_ops=2)
+        built = []
+        for rows in (8, 64):
+            made.clear()
+            augment_batch(policy, _edge_batch((rows, 12, 12), np.float32), 3, 1, np.arange(rows))
+            built.append(len(made))
+        assert built[0] == built[1], f"SeedSequence objects per batch of 8 and 64 rows: {built}"
