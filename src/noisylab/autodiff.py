@@ -8,7 +8,7 @@ gradients into every reachable tensor with ``requires_grad=True``.
 The operator catalog is exactly what the small models and losses need:
 matmul, broadcasting add/mul, relu, sigmoid, exp, log, clamp, square,
 sum/mean, softmax/log-softmax, reshape, 2-d convolution, transposed
-convolution and max/avg pooling. No GPU, no broadcasting beyond bias-style
+convolution and max pooling. No GPU, no broadcasting beyond bias-style
 shapes, no fusion.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
@@ -16,6 +16,8 @@ Default dtype is float32; pass float64 arrays for wide-precision work
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -317,27 +319,46 @@ def _unbroadcast(grad, shape):
 
 
 # ---------------------------------------------------------------------------
-# Spatial operators (im2col based, stride/padding on the default path only
-# as far as the model zoo needs them)
+# Spatial operators. Every convolution is unfolded (im2col) into one matrix
+# product per layer: Chellapilla, Puri and Simard, "High Performance
+# Convolutional Neural Networks for Document Processing", 2006.
 # ---------------------------------------------------------------------------
 
 def _conv_out_size(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
+@functools.lru_cache(maxsize=64)
+def _gather_index(hp, wp, kh, kw, stride, ho, wo):
+    """Flat positions in an (hp, wp) image read by each (kernel tap, output
+    pixel) pair: row ``i * kw + j`` holds tap (i, j) for every output pixel."""
+    taps = (np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1, 1)
+    pixels = ((np.arange(ho) * stride)[:, None] * wp + np.arange(wo) * stride).reshape(1, -1)
+    idx = (taps + pixels).astype(np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
 def _im2col(x, kh, kw, stride, pad):
+    """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) columns, channel-major like the
+    (Cout, C, kh, kw) weight layout."""
     n, c, h, w = x.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    # np.take returns a contiguous (N, C, kh*kw, L) array, so the reshape
+    # below is a view; fancy indexing xp[:, :, idx] would copy it again.
+    cols = np.take(xp.reshape(n, c, hp * wp), _gather_index(hp, wp, kh, kw, stride, ho, wo), axis=2)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols, xshape, kh, kw, stride, pad):
+    """Adjoint of _im2col: scatter-add columns back onto an (N, C, H, W)
+    image. Overlapping windows accumulate."""
     n, c, h, w = xshape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
@@ -357,25 +378,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     cout, cin, kh, kw = w.shape
     if cin != c:
         raise ShapeError(f"conv2d: channel mismatch, x has {c}, w expects {cin}")
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     w2 = w.data.reshape(cout, -1)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True).reshape(n, cout, ho, wo)
+    out = (w2 @ cols).reshape(n, cout, ho, wo)
     if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
-        out = out + b.data[None, :, None, None]
+        out += b.data[None, :, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def backward(g, x=x, w=w, b=b, cols=cols, w2=w2, shapes=(n, cout, ho, wo, kh, kw)):
-        n, cout, ho, wo, kh, kw = shapes
+    def backward(g, x=x, w=w, b=b, cols=cols, w2=w2):
         g2 = g.reshape(n, cout, ho * wo)
-        dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(w.shape)
-        dcols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
-        dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
-        grads = [(x, dx), (w, dw)]
+        grads = [(w, (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))]
         if b is not None:
             grads.append((b, g.sum(axis=(0, 2, 3))))
+        if not x.requires_grad:
+            return grads
+        if stride == 1 and kh == kw and padding < kh:
+            # dx is the full correlation of g with the flipped kernel, whose
+            # input and output channels swap: one more im2col and GEMM.
+            gcols, _, _ = _im2col(g, kh, kw, 1, kh - 1 - padding)
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            dx = (wf @ gcols).reshape(x.shape)
+        else:
+            dx = _col2im(w2.T @ g2, x.shape, kh, kw, stride, padding)
+        grads.append((x, dx))
         return grads
 
     return Tensor._result(out, parents, backward, "conv2d")
@@ -389,73 +417,66 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     wcin, cout, kh, kw = w.shape
     if wcin != cin:
         raise ShapeError(f"conv_transpose2d: channel mismatch, x has {cin}, w expects {wcin}")
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"conv_transpose2d: bias shape {b.shape}, expected ({cout},)")
     ho = (h - 1) * stride - 2 * padding + kh
     wo = (wd - 1) * stride - 2 * padding + kw
+    # Windows that tile the output without overlap or padding make col2im a
+    # plain transpose, and im2col of the output gradient its inverse.
+    tiled = stride == kh == kw and padding == 0
     w2 = w.data.reshape(cin, cout * kh * kw)
     x2 = x.data.reshape(n, cin, h * wd)
-    cols = np.einsum("ck,ncl->nkl", w2, x2, optimize=True)
-    out = _col2im(cols, (n, cout, ho, wo), kh, kw, stride, padding)
+    cols = w2.T @ x2
+    if tiled:
+        out = cols.reshape(n, cout, kh, kw, h, wd).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, ho, wo)
+    else:
+        out = _col2im(cols, (n, cout, ho, wo), kh, kw, stride, padding)
     if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv_transpose2d: bias shape {b.shape}, expected ({cout},)")
         out = out + b.data[None, :, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def backward(g, x=x, w=w, b=b, w2=w2, x2=x2, dims=(n, h, wd, kh, kw)):
-        n, h, wd, kh, kw = dims
-        # im2col of the output-grad has L == h*wd positions by construction
-        cols_g, _, _ = _im2col(g, kh, kw, stride, padding)
-        dx = np.einsum("ck,nkl->ncl", w2, cols_g, optimize=True).reshape(x.shape)
-        dw = np.einsum("ncl,nkl->ck", x2, cols_g, optimize=True).reshape(w.shape)
-        grads = [(x, dx), (w, dw)]
+    def backward(g, x=x, w=w, b=b, w2=w2, x2=x2):
+        # im2col of the output gradient has L == h*wd positions by construction
+        if tiled:
+            gcols = g.reshape(n, cout, h, kh, wd, kw).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * kh * kw, h * wd)
+        else:
+            gcols, _, _ = _im2col(g, kh, kw, stride, padding)
+        grads = [(w, (x2 @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))]
         if b is not None:
             grads.append((b, g.sum(axis=(0, 2, 3))))
+        if x.requires_grad:
+            grads.append((x, (w2 @ gcols).reshape(x.shape)))
         return grads
 
     return Tensor._result(out, parents, backward, "conv_transpose2d")
 
 
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling; ties route to the first element."""
+    """Non-overlapping max pooling. The gradient of a window goes to its
+    first maximal element in row-major order."""
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"max_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    xr = x.data.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = xr.reshape(n, c, h // k, w // k, k * k)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    views = [x.data[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
 
-    def backward(g, x=x, idx=idx, dims=(n, c, h, w, k)):
-        n, c, h, w, k = dims
-        dflat = np.zeros((n, c, h // k, w // k, k * k), dtype=g.dtype)
-        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        dx = (
-            dflat.reshape(n, c, h // k, w // k, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        return ((x, dx),)
+    def backward(g, x=x, views=views, out=out):
+        # g goes to the first slot equal to the max, argmax's tie rule; the
+        # other slots get +0.0 (g * mask would give -0.0 where g < 0).
+        dx = np.empty((n, c, h // k, k, w // k, k), dtype=g.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        for s, v in enumerate(views):
+            hit = (v == out) & free
+            dx[:, :, :, s // k, :, s % k] = np.where(hit, g, 0)
+            free &= ~hit
+        return ((x, dx.reshape(x.shape)),)
 
     return Tensor._result(out, (x,), backward, "max_pool2d")
-
-
-def avg_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    if x.ndim != 4:
-        raise ShapeError(f"avg_pool2d: expects 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    out = x.data.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(g, x=x, dims=(n, c, h, w, k)):
-        n, c, h, w, k = dims
-        dx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-        return ((x, dx.astype(x.dtype, copy=False)),)
-
-    return Tensor._result(out, (x,), backward, "avg_pool2d")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ learned to undo.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +63,14 @@ def export_embeddings_csv(exp, path) -> int:
     ds: LabeledDataset = exp.dataset
     emb, cluster = compute_embeddings(exp.models, ds.features)
     dim = emb.shape[1]
+    tail = np.stack([ds.noisy_labels, ds.clean_labels, cluster, ds.corrupted], axis=1)
+    # Nine significant digits round-trip every float32 feature.
+    row = "%d" + ",%.9g" * dim + ",%d,%d,%d,%d\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"f{i}" for i in range(dim)]
-                        + ["noisy_label", "clean_label", "cluster", "corrupted"])
-        for i in range(len(ds)):
-            writer.writerow([i] + [repr(float(v)) for v in emb[i]]
-                            + [int(ds.noisy_labels[i]), int(ds.clean_labels[i]),
-                               int(cluster[i]), int(ds.corrupted[i])])
+        fh.write(",".join(["index"] + [f"f{i}" for i in range(dim)]
+                          + ["noisy_label", "clean_label", "cluster", "corrupted"]) + "\r\n")
+        for i, (feats, labels) in enumerate(zip(emb, tail)):
+            fh.write(row % (i, *feats.tolist(), *labels.tolist()))
     return len(ds)
 
 

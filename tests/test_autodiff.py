@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from noisylab.autodiff import (
     DomainError,
     ShapeError,
     Tensor,
-    avg_pool2d,
     conv2d,
     conv_transpose2d,
     grad_check,
@@ -136,19 +137,195 @@ OPERATOR_CASES = [
     ("conv2d_w", lambda t, aux: conv2d(Tensor(aux), t, padding=0).square().sum(), (3, 2, 3, 3)),
     ("conv_transpose2d", lambda t, aux: conv_transpose2d(t, Tensor(aux), stride=2).square().sum(), (2, 2, 3, 3)),
     ("max_pool2d", lambda t, aux: max_pool2d(t, 2).square().sum(), (1, 1, 4, 4)),
-    ("avg_pool2d", lambda t, aux: avg_pool2d(t, 2).square().sum(), (1, 1, 4, 4)),
+    # input gradients on conv paths the model zoo does not take
+    ("conv2d_pad0", lambda t, aux: conv2d(t, Tensor(aux), padding=0).square().sum(), (2, 2, 5, 5)),
+    ("conv2d_pad2", lambda t, aux: conv2d(t, Tensor(aux), padding=2).square().sum(), (2, 2, 5, 5)),
+    ("conv2d_pad3", lambda t, aux: conv2d(t, Tensor(aux), padding=3).square().sum(), (2, 2, 4, 4)),
+    ("conv2d_stride2", lambda t, aux: conv2d(t, Tensor(aux), stride=2, padding=1).square().sum(), (2, 2, 5, 5)),
+    ("conv2d_1x1", lambda t, aux: conv2d(t, Tensor(aux)).square().sum(), (2, 2, 4, 4)),
+    ("conv_transpose2d_overlap",
+     lambda t, aux: conv_transpose2d(t, Tensor(aux), stride=2, padding=1).square().sum(), (2, 2, 3, 3)),
+    ("conv_transpose2d_stride1", lambda t, aux: conv_transpose2d(t, Tensor(aux)).square().sum(), (2, 2, 3, 3)),
 ]
 
 
 @pytest.mark.parametrize("name,fn,shape", OPERATOR_CASES, ids=[c[0] for c in OPERATOR_CASES])
 def test_operator_gradients_match_finite_differences(name, fn, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     aux_shape = {
         "conv2d": (3, 2, 3, 3),
         "conv2d_w": (2, 2, 5, 5),
         "conv_transpose2d": (2, 3, 2, 2),
+        "conv2d_pad0": (3, 2, 3, 3),
+        "conv2d_pad2": (3, 2, 3, 3),
+        "conv2d_pad3": (3, 2, 3, 3),
+        "conv2d_stride2": (3, 2, 3, 3),
+        "conv2d_1x1": (3, 2, 1, 1),
+        "conv_transpose2d_overlap": (2, 3, 3, 3),
+        "conv_transpose2d_stride1": (2, 3, 2, 2),
     }.get(name, (3, 4))
     for trial in range(20):
         point = t64(rng.standard_normal(shape))
         aux = rng.standard_normal(aux_shape)
         assert grad_check(lambda t: fn(t, aux), point, step=1e-5) <= 1e-4, f"{name} trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# The im2col/einsum kernels the GEMM kernels replaced, kept as the reference.
+# ---------------------------------------------------------------------------
+
+def _oracle_im2col(x, kh, kw, stride, pad):
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+
+
+def _oracle_col2im(cols, xshape, kh, kw, stride, pad):
+    n, c, h, w = xshape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _oracle_conv2d(x, w, b, stride=1, padding=0):
+    """Forward output and (dx, dw, db) for upstream gradient g, as arrays."""
+    n = x.shape[0]
+    cout, _, kh, kw = w.shape
+    cols, ho, wo = _oracle_im2col(x, kh, kw, stride, padding)
+    w2 = w.reshape(cout, -1)
+    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True).reshape(n, cout, ho, wo)
+    out = out + b[None, :, None, None]
+
+    def grads(g):
+        g2 = g.reshape(n, cout, ho * wo)
+        dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(w.shape)
+        dcols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
+        dx = _oracle_col2im(dcols, x.shape, kh, kw, stride, padding)
+        return dx, dw, g.sum(axis=(0, 2, 3))
+
+    return out, grads
+
+
+def _oracle_conv_transpose2d(x, w, b, stride=1, padding=0):
+    n, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    ho = (h - 1) * stride - 2 * padding + kh
+    wo = (wd - 1) * stride - 2 * padding + kw
+    w2 = w.reshape(cin, cout * kh * kw)
+    x2 = x.reshape(n, cin, h * wd)
+    cols = np.einsum("ck,ncl->nkl", w2, x2, optimize=True)
+    out = _oracle_col2im(cols, (n, cout, ho, wo), kh, kw, stride, padding)
+    out = out + b[None, :, None, None]
+
+    def grads(g):
+        cols_g, _, _ = _oracle_im2col(g, kh, kw, stride, padding)
+        dx = np.einsum("ck,nkl->ncl", w2, cols_g, optimize=True).reshape(x.shape)
+        dw = np.einsum("ncl,nkl->ck", x2, cols_g, optimize=True).reshape(w.shape)
+        return dx, dw, g.sum(axis=(0, 2, 3))
+
+    return out, grads
+
+
+def _oracle_max_pool2d(x, k=2):
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+    flat = xr.reshape(n, c, h // k, w // k, k * k)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def grad(g):
+        dflat = np.zeros((n, c, h // k, w // k, k * k), dtype=g.dtype)
+        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+        return dflat.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+    return out, grad
+
+
+def _run_op(op, x, w, b, x_grad=True, **kw):
+    """Forward output, upstream gradient and the (x, w, b) gradients."""
+    xt = Tensor(x, requires_grad=x_grad)
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    out = op(xt, wt, bt, **kw)
+    g = np.random.default_rng(7).standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    return out.data, g, (xt.grad, wt.grad, bt.grad)
+
+
+def _assert_float32_close(got, want):
+    # reordered float32 sums: a few ulps of the largest magnitude involved
+    scale = max(float(np.abs(want).max()), 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * scale)
+
+
+# The desk-conv layers: (kind, cin, cout, k, size, stride, padding).
+DESK_CONV_LAYERS = [
+    ("conv2d", 1, 8, 3, 12, 1, 1),
+    ("conv2d", 8, 16, 3, 6, 1, 1),
+    ("conv2d", 16, 32, 3, 3, 1, 1),
+    ("conv_transpose2d", 16, 8, 2, 3, 2, 0),
+    ("conv_transpose2d", 8, 8, 2, 6, 2, 0),
+    ("conv2d", 8, 1, 3, 12, 1, 1),
+]
+
+
+class TestKernelsMatchOracle:
+    @pytest.mark.parametrize("batch", [64, 256])
+    @pytest.mark.parametrize("layer", DESK_CONV_LAYERS, ids=lambda l: f"{l[0]}-{l[1]}to{l[2]}-{l[4]}px")
+    def test_desk_conv_layers(self, layer, batch):
+        kind, cin, cout, k, size, stride, padding = layer
+        rng = np.random.default_rng(zlib.crc32(repr(layer).encode()) + batch)
+        x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
+        wshape = (cout, cin, k, k) if kind == "conv2d" else (cin, cout, k, k)
+        bound = 1.0 / np.sqrt(cin * k * k)
+        w = rng.uniform(-bound, bound, wshape).astype(np.float32)
+        b = rng.uniform(-bound, bound, cout).astype(np.float32)
+        op, oracle = (conv2d, _oracle_conv2d) if kind == "conv2d" else (conv_transpose2d, _oracle_conv_transpose2d)
+        # the backbone's first layer reads the images, which need no gradient
+        x_grad = cin != 1
+        out, g, (dx, dw, db) = _run_op(op, x, w, b, x_grad=x_grad, stride=stride, padding=padding)
+        want_out, want_grads = oracle(x, w, b, stride=stride, padding=padding)
+        want_dx, want_dw, want_db = want_grads(g)
+        assert out.dtype == dw.dtype == db.dtype == np.float32
+        _assert_float32_close(out, want_out)
+        _assert_float32_close(dw, want_dw)
+        _assert_float32_close(db, want_db)
+        if x_grad:
+            assert dx.dtype == np.float32
+            _assert_float32_close(dx, want_dx)
+        else:
+            assert dx is None
+
+    @pytest.mark.parametrize("shape", [(64, 8, 12, 12), (256, 16, 6, 6), (3, 2, 4, 6)])
+    @pytest.mark.parametrize("zeros", ["negative", "both signs"])
+    def test_max_pool_byte_identical_with_ties(self, shape, zeros):
+        rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+        # few distinct values, so most windows tie; relu gives -0.0 for
+        # every negative input and +0.0 only for an exact +0.0
+        values = [-1.0, -0.0, 0.5, 1.0] + ([0.0] if zeros == "both signs" else [])
+        x = rng.choice(np.array(values, dtype=np.float32), size=shape)
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt, 2)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_grad = _oracle_max_pool2d(x, 2)
+        assert xt.grad.tobytes() == want_grad(g).tobytes()
+        if zeros == "negative":
+            assert out.data.tobytes() == want_out.tobytes()
+        else:
+            # np.maximum may pick either zero of a -0.0/+0.0 tie
+            np.testing.assert_array_equal(out.data, want_out)
+
+    def test_max_pool_propagates_nan(self):
+        x = np.array([[[[1.0, np.nan], [3.0, 2.0]]]], dtype=np.float32)
+        assert np.isnan(max_pool2d(Tensor(x), 2).data).all()

@@ -5,6 +5,7 @@ import pytest
 
 from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from noisylab.data import load_dataset
+from noisylab.export import compute_embeddings, load_run_models
 
 
 TINY = [
@@ -61,9 +62,16 @@ def test_train_and_export(tmp_path, capsys):
     assert (run / "summary.json").exists()
     assert "best_acc=" in capsys.readouterr().out
     assert main(["export", "--run", str(run), "--samples", "4"]) == EXIT_OK
-    assert (run / "embeddings.csv").exists()
     assert (run / "gallery.pgm").exists()
     assert (run / "gallery.pgm").read_bytes().startswith(b"P5\n")
+    # the CSV text holds every float32 feature exactly
+    exp, _ = load_run_models(run)
+    emb, cluster = compute_embeddings(exp.models, exp.dataset.features)
+    table = np.loadtxt(run / "embeddings.csv", delimiter=",", skiprows=1)
+    dim = emb.shape[1]
+    assert table[:, 1 : dim + 1].astype(np.float32).tobytes() == emb.tobytes()
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(emb)))
+    np.testing.assert_array_equal(table[:, dim + 3], cluster)
 
 
 def test_train_resume(tmp_path, capsys):
