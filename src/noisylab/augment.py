@@ -7,10 +7,36 @@ seed. Image outputs stay in [0, 1]; flat vectors are left unclamped.
 
 Spatial ops (cutout, translate, horizontal-flip) require image-shaped input;
 flat vectors support gaussian-noise, brightness-shift and contrast-scale.
+
+Public API:
+
+- ``augment_batch(policy, batch, global_seed, epoch, sample_indices)``: a
+  fresh pipeline per row, seeded by (global seed, epoch, index); what
+  training calls.
+- ``derive_seed(*parts)``: the 64-bit seed of a row's pipeline,
+  ``derive_seed(global_seed, epoch, index)``.
+- ``sample_pipeline(policy, seed)``: that pipeline as ``AugmentOp`` records.
+- ``apply_op(op, x)``: one recorded op applied to one sample.
+
+The three helpers are one-row calls into the batched code, so replaying
+``apply_op`` over ``sample_pipeline(policy, derive_seed(g, e, i)).ops``
+gives row ``i`` of ``augment_batch`` byte for byte.
+
+Every random number is the one numpy's
+``Generator(PCG64(SeedSequence(seed)))`` would draw, computed on arrays for
+the whole batch: ``_seed_states`` reproduces ``SeedSequence``, and
+``_PCG64Rows`` reproduces PCG64 with ``Generator.integers`` (Lemire's
+bounded integers) and ``Generator.random``/``uniform``. NEP 19 keeps
+``SeedSequence`` and the raw PCG64 stream stable across numpy versions, but
+not the Generator methods, so computing those here keeps augmented views
+independent of the numpy version. The exception is gaussian-noise, which
+draws from ``Generator.normal`` (numpy's ziggurat), one generator per noise
+row.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -19,6 +45,11 @@ import numpy as np
 SPATIAL_OPS = ("cutout", "translate", "horizontal-flip")
 VALUE_OPS = ("gaussian-noise", "brightness-shift", "contrast-scale")
 ALL_OPS = ("cutout", "gaussian-noise", "brightness-shift", "contrast-scale", "translate", "horizontal-flip")
+# each op's one parameter, in ALL_OPS order
+_PARAMS = ("side_frac", "sigma", "delta", "scale", "max_frac", "prob")
+_CUTOUT, _NOISE, _BRIGHTNESS, _CONTRAST, _TRANSLATE, _FLIP = range(len(ALL_OPS))
+# the ops whose parameter the pipeline draws
+_DRAWS_SCALAR = np.isin(np.arange(len(ALL_OPS)), [_BRIGHTNESS, _CONTRAST])
 
 CUTOUT_FILL = 0.5
 TRANSLATE_FILL = 0.5
@@ -60,6 +91,9 @@ class AugmentPolicy:
     def __post_init__(self):
         if not self.op_pool:
             raise ValueError("op pool must be nonempty")
+        for kind in self.op_pool:
+            if kind not in ALL_OPS:
+                raise ValueError(f"unknown augment op: {kind!r}")
         if self.num_ops < 1:
             raise ValueError("num_ops must be >= 1")
         if not 0.0 <= self.magnitude <= 1.0:
@@ -73,30 +107,40 @@ def derive_seed(*parts) -> int:
 
 def sample_pipeline(policy: AugmentPolicy, rng_seed: int) -> AugmentPipeline:
     """Uniformly sample ``num_ops`` ops (with replacement) from the pool."""
-    return _draw_pipeline(policy, _generator(_seed_states((rng_seed,), 4)[0]))
+    kinds, seeds, scalars = _draw_pipelines(policy, _seed_states((rng_seed,), 4))
+    ops = tuple(AugmentOp(kind=ALL_OPS[k], params={_PARAMS[k]: float(v)}, seed=int(s))
+                for k, s, v in zip(kinds[:, 0], seeds[:, 0], scalars[:, 0]))
+    return AugmentPipeline(ops=ops, magnitude=policy.magnitude)
 
 
-def _draw_pipeline(policy: AugmentPolicy, rng: np.random.Generator) -> AugmentPipeline:
+def _draw_pipelines(policy: AugmentPolicy, words: np.ndarray):
+    """One pipeline per row of PCG64 seed words, drawn as ``Generator``
+    would: per slot, the kind (``integers(0, len(pool))``), the op seed
+    (``integers(0, 2**63 - 1)``), then brightness's sign (``random()``) or
+    contrast's factor (``uniform(-1, 1)``).
+
+    Returns ``(kinds, seeds, scalars)``, each ``(num_ops, rows)``: the kind
+    as an index into ``ALL_OPS``, the op's seed and its one parameter.
+    """
     m = policy.magnitude
-    ops = []
+    rows = np.arange(len(words))
+    pool = np.array([ALL_OPS.index(kind) for kind in policy.op_pool])
+    fixed = np.array([m, m * MAX_NOISE_SIGMA, 0.0, 0.0, m * MAX_TRANSLATE_FRAC, m])
+    pool_size = np.full(len(rows), len(pool), dtype=np.uint64)
+    rng = _PCG64Rows.seeded(words, width=3 * policy.num_ops)
+    kinds = np.empty((policy.num_ops, len(rows)), dtype=np.intp)
+    seeds = np.empty(kinds.shape, dtype=np.int64)
+    scalars = np.empty(kinds.shape, dtype=np.float64)
     for slot in range(policy.num_ops):
-        kind = policy.op_pool[int(rng.integers(0, len(policy.op_pool)))]
-        op_seed = int(rng.integers(0, 2**63 - 1))
-        if kind == "cutout":
-            params = {"side_frac": m}
-        elif kind == "gaussian-noise":
-            params = {"sigma": m * MAX_NOISE_SIGMA}
-        elif kind == "brightness-shift":
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            params = {"delta": sign * m * MAX_BRIGHTNESS_DELTA}
-        elif kind == "contrast-scale":
-            params = {"scale": 1.0 + m * MAX_CONTRAST_SWING * rng.uniform(-1.0, 1.0)}
-        elif kind == "translate":
-            params = {"max_frac": m * MAX_TRANSLATE_FRAC}
-        else:  # horizontal-flip
-            params = {"prob": m}
-        ops.append(AugmentOp(kind=kind, params=params, seed=op_seed))
-    return AugmentPipeline(ops=tuple(ops), magnitude=m)
+        kind = kinds[slot] = pool[rng.integers32(rows, pool_size)]
+        seeds[slot] = rng.integers64(rows, 2**63 - 1)
+        scalars[slot] = fixed[kind]
+        drawn = _DRAWS_SCALAR[kind].nonzero()[0]
+        u = rng.random(drawn)
+        sign = np.where(u < 0.5, 1.0, -1.0)
+        scalars[slot, drawn] = np.where(kind[drawn] == _BRIGHTNESS, sign * m * MAX_BRIGHTNESS_DELTA,
+                                        1.0 + m * MAX_CONTRAST_SWING * (-1.0 + 2.0 * u))
+    return kinds, seeds, scalars
 
 
 # Every stream here is numpy's SeedSequence followed by PCG64, both stable
@@ -124,13 +168,18 @@ def _seed_states(parts, n_words: int) -> np.ndarray:
     words, counts = zip(*map(_entropy_words, parts))
     (rows,) = np.broadcast_shapes(*(c.shape for c in counts))
     words = [w if len(w) == rows else w.repeat(rows, axis=0) for w in words]
-    counts = np.stack([c if len(c) == rows else c.repeat(rows) for c in counts], axis=1)
     out = np.empty((rows, n_words), dtype=np.uint64)
     todo = np.arange(rows)
     while todo.size:
-        layout = counts[todo[0]]
-        same = (counts[todo] == layout).all(axis=1)
-        sel, todo = todo[same], todo[~same]
+        layout = [int(c[todo[0]] if len(c) > 1 else c[0]) for c in counts]
+        same = np.ones(todo.size, dtype=bool)
+        for c, k in zip(counts, layout):
+            if len(c) > 1:
+                same &= c[todo] == k
+        if same.all():  # the common case: one layout
+            sel, todo = todo, todo[:0]
+        else:
+            sel, todo = todo[same], todo[~same]
         entropy = np.concatenate([w[sel, :k] for w, k in zip(words, layout)], axis=1)
         out[sel] = _generate_state(_mix_entropy(entropy), n_words)
     return out
@@ -141,11 +190,10 @@ def _entropy_words(part):
     one word; each further 32 bits add one). Returns the words, zero-padded
     to ``(rows, k)``, and each row's word count."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-        if (part < 0).any():
+        if part.dtype.kind == "i" and (part < 0).any():
             raise ValueError("expected non-negative integer")
-        v = part.astype(np.uint64)
-        high = (v >> np.uint64(32)).astype(np.uint32)
-        return np.stack([v.astype(np.uint32), high], axis=1), 1 + (high != 0)
+        words = np.asarray(part, dtype="<u8").view("<u4").reshape(-1, 2)
+        return words, 1 + (words[:, 1] != 0)
     values = [operator.index(v) for v in ([part] if isinstance(part, (int, np.integer)) else part)]
     if any(v < 0 for v in values):
         raise ValueError("expected non-negative integer")
@@ -155,6 +203,7 @@ def _entropy_words(part):
     return np.array(words, dtype=np.uint32).reshape(len(values), k), np.array(counts, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
 def _hash_consts(const, mult, count):
     """The xor and multiply constants of ``count`` successive hash steps, as
     ``(count, 1)`` uint32 columns."""
@@ -162,6 +211,7 @@ def _hash_consts(const, mult, count):
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
     consts = np.array(consts, dtype=np.uint32)[:, None]
+    consts.setflags(write=False)  # cached: shared by every caller
     return consts[:-1], consts[1:]
 
 
@@ -234,70 +284,102 @@ def _generator(words) -> np.random.Generator:
 
 def apply_op(op: AugmentOp, x: np.ndarray) -> np.ndarray:
     """Apply one op to a single sample (copy; the input is never mutated)."""
-    return _apply_slot((op,), x[None], _seed_states((op.seed,), 4))[0]
+    kind = ALL_OPS.index(op.kind)
+    return _apply_pipelines(np.array([[kind]]), np.array([[op.seed]], dtype=np.int64),
+                            np.array([[op.params[_PARAMS[kind]]]], dtype=np.float64), x[None])[0]
 
 
-def _apply_slot(ops, batch: np.ndarray, op_words: np.ndarray) -> np.ndarray:
-    """Apply ``ops[i]`` to ``batch[i]`` for every row; returns a new array.
-    ``op_words[i]`` are the PCG64 seed words of ``ops[i].seed``.
+def _apply_pipelines(kinds, seeds, scalars, batch: np.ndarray) -> np.ndarray:
+    """Apply op slot ``s`` (``kinds[s, i]``, ``seeds[s, i]``,
+    ``scalars[s, i]``) to ``batch[i]``, slot after slot; returns a new
+    array."""
+    image_shaped = batch.ndim == 3
+    if not image_shaped:
+        spatial = [ALL_OPS[k] for k in np.unique(kinds) if ALL_OPS[k] in SPATIAL_OPS]
+        if spatial:
+            raise UnsupportedOpError(f"{spatial[0]} requires image-shaped input, got shape {batch.shape[1:]}")
+    words = _seed_states((seeds.ravel(),), 4)
+    if image_shaped:
+        draws = _draw_spatial(kinds.ravel(), scalars.ravel(), words, batch.shape[1:]).reshape(kinds.shape + (2,))
+    else:
+        draws = [None] * len(kinds)
+    words = words.reshape(kinds.shape + (4,))
+    out = batch
+    for slot in range(len(kinds)):
+        out = _apply_slot(kinds[slot], scalars[slot], draws[slot], words[slot], out)
+    return out if out is not batch else batch.copy()
+
+
+def _sizes(scalars, shape):
+    """``int(round(scalar * side))`` for each op and each image side."""
+    return np.rint(scalars[:, None] * np.array(shape)).astype(np.int64)
+
+
+def _draw_spatial(kinds, scalars, words, shape):
+    """What each op draws from its PCG64 stream on images of ``shape``, as
+    ``Generator`` would, in ``(ops, 2)``: cutout's top and left corner,
+    translate's row and column shift, and in the first column 1 if flip
+    mirrors. Every other entry is 0."""
+    sizes = _sizes(scalars, shape)
+    cut = (kinds == _CUTOUT) & (sizes > 0).all(axis=1)
+    shift = kinds == _TRANSLATE
+    # integers(0, n) per op and side; n == 1 draws nothing
+    n = np.ones((len(kinds), 2), dtype=np.uint64)
+    n[cut] = np.array(shape) - sizes[cut] + 1
+    n[shift] = 2 * sizes[shift] + 1
+    rng = _PCG64Rows.seeded(words)
+    out = np.zeros((len(kinds), 2), dtype=np.int64)
+    drawn = (cut | shift).nonzero()[0]
+    for side in range(2):
+        out[drawn, side] = rng.integers32(drawn, n[drawn, side])
+    out[shift] -= sizes[shift]
+    flip = (kinds == _FLIP).nonzero()[0]
+    out[flip, 0] = rng.random(flip) < scalars[flip]
+    return out
+
+
+def _apply_slot(kinds, scalars, draws, words, batch: np.ndarray) -> np.ndarray:
+    """Apply op ``kinds[i]`` with parameter ``scalars[i]`` to ``batch[i]``
+    for every row; returns a new array. ``draws[i]`` is what the op drew
+    (``_draw_spatial``; None for flat input) and ``words[i]`` the PCG64
+    seed words of its seed.
 
     Rows are grouped by op kind. Value ops run as one array expression per
-    group with per-row scalars in the batch dtype; cutout, translate and
-    flip write per-row slices. Each op's generator is built only when the
-    op draws from it, and image rows are clipped once at the end, so every
+    group with per-row scalars in the batch dtype; cutout and translate
+    write per-row slices. Image rows are clipped once at the end, so every
     row gets the same float operations as when it is augmented alone.
     """
     image_shaped = batch.ndim == 3
-    rows_of = {}
-    for row, op in enumerate(ops):
-        if not image_shaped and op.kind in SPATIAL_OPS:
-            raise UnsupportedOpError(f"{op.kind} requires image-shaped input, got shape {batch.shape[1:]}")
-        rows_of.setdefault(op.kind, []).append(row)
     out = batch.copy()
     per_row = (-1,) + (1,) * (batch.ndim - 1)
 
-    def scalars(rows, key):
-        return np.array([ops[r].params[key] for r in rows], dtype=batch.dtype).reshape(per_row)
-
-    for kind, rows in rows_of.items():
-        if kind == "cutout":
+    for kind in np.bincount(kinds, minlength=len(ALL_OPS)).nonzero()[0]:
+        rows = (kinds == kind).nonzero()[0]
+        if kind == _CUTOUT:
+            sizes = _sizes(scalars[rows], batch.shape[1:]).tolist()
+            for r, (top, left), (side_h, side_w) in zip(rows.tolist(), draws[rows].tolist(), sizes):
+                out[r, top : top + side_h, left : left + side_w] = CUTOUT_FILL
+        elif kind == _NOISE:
+            rows = rows[scalars[rows] > 0]
+            if rows.size:
+                noise = [_generator(words[r]).normal(0.0, scalars[r], size=batch.shape[1:]) for r in rows]
+                out[rows] = out[rows] + np.array(noise, dtype=batch.dtype)
+        elif kind == _BRIGHTNESS:
+            out[rows] = out[rows] + scalars[rows].astype(batch.dtype).reshape(per_row)
+        elif kind == _CONTRAST:
+            rows = rows[scalars[rows] != 1.0]
+            center = 0.5 if image_shaped else 0.0
+            out[rows] = center + scalars[rows].astype(batch.dtype).reshape(per_row) * (out[rows] - center)
+        elif kind == _TRANSLATE:
             _, h, w = batch.shape
-            for r in rows:
-                side_h = int(round(ops[r].params["side_frac"] * h))
-                side_w = int(round(ops[r].params["side_frac"] * w))
-                if side_h and side_w:
-                    rng = _generator(op_words[r])
-                    top = int(rng.integers(0, h - side_h + 1))
-                    left = int(rng.integers(0, w - side_w + 1))
-                    out[r, top : top + side_h, left : left + side_w] = CUTOUT_FILL
-        elif kind == "gaussian-noise":
-            rows = [r for r in rows if ops[r].params["sigma"] > 0]
-            if rows:
-                noise = [_generator(op_words[r]).normal(0.0, ops[r].params["sigma"], size=batch.shape[1:])
-                         for r in rows]
-                out[rows] = out[rows] + np.array(noise).astype(batch.dtype)
-        elif kind == "brightness-shift":
-            out[rows] = out[rows] + scalars(rows, "delta")
-        elif kind == "contrast-scale":
-            rows = [r for r in rows if ops[r].params["scale"] != 1.0]
-            if rows:
-                center = 0.5 if image_shaped else 0.0
-                out[rows] = center + scalars(rows, "scale") * (out[rows] - center)
-        elif kind == "translate":
-            _, h, w = batch.shape
-            for r in rows:
-                limit_h = int(round(ops[r].params["max_frac"] * h))
-                limit_w = int(round(ops[r].params["max_frac"] * w))
-                rng = _generator(op_words[r]) if limit_h or limit_w else None
-                dy = int(rng.integers(-limit_h, limit_h + 1)) if limit_h else 0
-                dx = int(rng.integers(-limit_w, limit_w + 1)) if limit_w else 0
+            for r, (dy, dx) in zip(rows.tolist(), draws[rows].tolist()):
                 if dy or dx:
                     ys, yd = _shift_slices(h, dy)
                     xs, xd = _shift_slices(w, dx)
                     out[r] = TRANSLATE_FILL
                     out[r, yd, xd] = batch[r, ys, xs]
         else:  # horizontal-flip
-            rows = [r for r in rows if _generator(op_words[r]).random() < ops[r].params["prob"]]
+            rows = rows[draws[rows, 0] == 1]
             out[rows] = out[rows, :, ::-1]
 
     if image_shaped:
@@ -316,11 +398,144 @@ def augment_batch(policy: AugmentPolicy, batch: np.ndarray, global_seed: int, ep
     """Fresh per-sample pipelines, seeded by (global seed, epoch, index),
     applied one op slot at a time to the whole batch."""
     seeds = _seed_states((global_seed, epoch, sample_indices), 1)[:, 0]
-    slots = list(zip(*(_draw_pipeline(policy, _generator(words)).ops
-                       for words in _seed_states((seeds,), 4))))
-    op_seeds = np.array([[op.seed for op in ops] for ops in slots], dtype=np.int64)
-    op_words = _seed_states((op_seeds.ravel(),), 4).reshape(op_seeds.shape + (4,))
-    out = batch
-    for ops, words in zip(slots, op_words):
-        out = _apply_slot(ops, out, words)
-    return out if out is not batch else batch.copy()
+    return _apply_pipelines(*_draw_pipelines(policy, _seed_states((seeds,), 4)), batch)
+
+
+# PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation", 2014) is a
+# 128-bit LCG, state <- state * _PCG_MULT + inc, whose 64-bit output is the
+# XSL-RR of each new state. 128-bit values are held as high and low uint64
+# words; products take their high word from 32-bit halves.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.array(v, dtype=np.uint64) for v in (1, 11, 32, 58, 63, 64))
+_LOW32, _TWO32 = np.array(_MASK32, dtype=np.uint64), np.array(1 << 32, dtype=np.uint64)
+
+
+def _jump_table(count):
+    """The k-step jumps ``state_k = a * state + c * inc`` for k = 0 ..
+    count - 1, ``a = _PCG_MULT**k`` and ``c = 1 + _PCG_MULT + ... +
+    _PCG_MULT**(k-1)``, as words ``[hi, lo][a, c][k]``."""
+    a, c, table = 1, 0, []
+    for _ in range(count):
+        table.append([[a >> 64, c >> 64], [a & _MASK64, c & _MASK64]])
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return np.array(table, dtype=np.uint64).transpose(1, 2, 0).copy()
+
+
+# enough for every draw of a pipeline of up to 20 ops without a rejection
+_JUMPS = _jump_table(64)
+_JUMPS.setflags(write=False)
+
+
+def _mulhi(a, b):
+    """High word of the 128-bit product of uint64 arrays."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+
+
+class _PCG64Rows:
+    """One numpy PCG64 per row, with the ``Generator`` draws augmentation
+    uses, all rows at once.
+
+    Row ``r``'s ``j``-th 64-bit output (``j = 1, 2, ...``) is the XSL-RR of
+    the state ``lag + j`` steps after ``state[r]``. Outputs are computed a
+    block at a time by jumping ahead, so one pass of 128-bit products serves
+    every draw in the block; a row that needs more (after a rejection)
+    extends the block for all rows. Each draw takes the rows it applies to
+    as an index array, and the other rows keep their place.
+    """
+
+    def __init__(self, state, inc, lag=0, width=1):
+        # [hi, lo][state, inc] words, each (1, rows)
+        self.words = np.array([[state[0], inc[0]], [state[1], inc[1]]], dtype=np.uint64)[:, :, None]
+        self.lag = lag
+        rows = self.words.shape[-1]
+        self.raw = np.empty((0, rows), dtype=np.uint64)  # (outputs, rows)
+        self.used = np.zeros(rows, dtype=np.intp)
+        # the buffered high half of a 64-bit output (numpy's has_uint32)
+        self.has32 = np.zeros(rows, dtype=bool)
+        self.buf32 = np.zeros(rows, dtype=np.uint64)
+        self._extend(width)
+
+    @classmethod
+    def seeded(cls, words, width=1):
+        """The streams of ``PCG64(_Words(w))`` for each row ``w`` of
+        ``(rows, 4)`` seed words, as numpy's ``pcg64_set_seed`` builds them
+        from ``s = w[0:2]`` and ``i = w[2:4]`` (high word first):
+        ``inc = 2 * i + 1``, and the state one step after ``inc + s``."""
+        s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
+        inc = (i_hi << _U1) | (i_lo >> _U63), (i_lo << _U1) | _U1
+        lo = inc[1] + s_lo
+        return cls((inc[0] + s_hi + (lo < s_lo), lo), inc, lag=1, width=width)
+
+    def _extend(self, count):
+        """Compute ``count`` more outputs of every row."""
+        first = self.lag + len(self.raw) + 1
+        table = _JUMPS if first + count <= _JUMPS.shape[2] else _jump_table(first + count)
+        j_hi, j_lo = table[:, :, first : first + count, None]
+        w_hi, w_lo = self.words
+        # state_k = a * state + c * inc, mod 2**128: both products at once
+        prod_lo = j_lo * w_lo
+        prod_hi = _mulhi(j_lo, w_lo) + j_hi * w_lo + j_lo * w_hi
+        lo = prod_lo[0] + prod_lo[1]
+        hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
+        xored, rot = hi ^ lo, hi >> _U58
+        self.raw = np.concatenate([self.raw, (xored >> rot) | (xored << ((_U64 - rot) & _U63))])
+
+    def next64(self, rows):
+        """The next 64-bit output of each row in ``rows``."""
+        used = self.used[rows]
+        short = used.max(initial=-1) + 1 - len(self.raw)
+        if short > 0:
+            self._extend(short)
+        self.used[rows] = used + 1
+        return self.raw[used, rows]
+
+    def next32(self, rows):
+        """numpy's ``next_uint32``: the buffered high half of an output
+        an earlier call took the low half of, else the low half of a new
+        output, whose high half is buffered."""
+        out = self.buf32[rows]
+        fresh = ~self.has32[rows]
+        self.has32[rows] = fresh
+        if fresh.any():
+            fresh_rows = rows[fresh]
+            raw = self.next64(fresh_rows)
+            out[fresh] = raw & _LOW32
+            self.buf32[fresh_rows] = raw >> _U32
+        return out
+
+    def integers32(self, rows, n):
+        """``integers(0, n)`` for each row, with ``1 <= n < 2**32`` a uint64
+        array, one per row: 32-bit Lemire (Lemire, "Fast Random Integer
+        Generation in an Interval", ACM TOMACS 2019). ``n == 1`` draws
+        nothing; a rejected row redraws alone."""
+        drawing = n > _U1
+        if not drawing.all():
+            out = np.zeros(rows.shape, dtype=np.uint64)
+            out[drawing] = self.integers32(rows[drawing], n[drawing])
+            return out
+        m = self.next32(rows) * n
+        out = m >> _U32
+        rejected = (m & _LOW32) < (_TWO32 - n) % n
+        if rejected.any():
+            out[rejected] = self.integers32(rows[rejected], n[rejected])
+        return out
+
+    def integers64(self, rows, n: int):
+        """``integers(0, n)`` for each row, ``2**32 < n < 2**64``: 64-bit
+        Lemire with a 128-bit product."""
+        u = self.next64(rows)
+        n_word = np.array(n, dtype=np.uint64)
+        out = _mulhi(u, n_word)
+        rejected = u * n_word < (2**64 - n) % n
+        if rejected.any():
+            out[rejected] = self.integers64(rows[rejected], n)
+        return out
+
+    def random(self, rows):
+        """``random()`` for each row: ``(u64 >> 11) * 2**-53``."""
+        return (self.next64(rows) >> _U11) * 2.0**-53

@@ -43,16 +43,27 @@ EXIT_DIVERGENCE = 4
 EXIT_RUNTIME = 1
 
 
-def _parse_image_arg(text):
-    if "x" in text:
-        h, _, w = text.partition("x")
-        return (int(h), int(w))
-    size = int(text)
-    return (size, size)
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _image_shape(text):
+    """argparse type: ``HxW`` or ``N`` (square), positive sizes."""
+    h, x, w = text.partition("x")
+    try:
+        return (_positive_int(h), _positive_int(w if x else h))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected an image shape like 12x12 or 12, got {text!r}") from None
 
 
 def cmd_generate(args) -> int:
-    shape = _parse_image_arg(args.image) if args.image else args.dims
+    shape = args.image or args.dims
     ds = generate_blobs(args.samples, args.classes, shape, args.separation, args.seed)
     save_dataset(ds, args.out)
     export_labels_csv(ds, str(args.out) + ".labels.csv")
@@ -137,11 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--samples", type=_positive_int, default=2000)
+    p.add_argument("--classes", type=_positive_int, default=4)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--dims", type=int, default=2, help="flat feature dimension")
-    group.add_argument("--image", type=str, default=None, help="image shape, e.g. 12x12")
+    group.add_argument("--dims", type=_positive_int, default=2, help="flat feature dimension")
+    group.add_argument("--image", type=_image_shape, default=None, help="image shape, e.g. 12x12")
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export embeddings and a reconstruction gallery")
     p.add_argument("--run", required=True, help="run directory")
     p.add_argument("--checkpoint", choices=["init", "best", "last"], default="best")
-    p.add_argument("--samples", type=int, default=8, help="gallery rows")
+    p.add_argument("--samples", type=_positive_int, default=8, help="gallery rows")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_export)
 

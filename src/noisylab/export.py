@@ -8,6 +8,7 @@ learned to undo.
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
 from .autodiff import Tensor
-from .data import LabeledDataset, load_dataset
+from .data import LabeledDataset, load_dataset, replacing
 from .training import CheckpointError, build_experiment, load_checkpoint
 
 
@@ -59,14 +60,15 @@ def compute_embeddings(models, features: np.ndarray, batch_size: int = 256):
 
 def export_embeddings_csv(exp, path) -> int:
     """Write one row per sample: index, feature vector, labels, cluster,
-    corrupted flag. Returns the row count."""
+    corrupted flag. Returns the row count. The file is replaced whole or
+    not at all."""
     ds: LabeledDataset = exp.dataset
     emb, cluster = compute_embeddings(exp.models, ds.features)
     dim = emb.shape[1]
     tail = np.stack([ds.noisy_labels, ds.clean_labels, cluster, ds.corrupted], axis=1)
     # Nine significant digits round-trip every float32 feature.
     row = "%d" + ",%.9g" * dim + ",%d,%d,%d,%d\r\n"
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as raw, io.TextIOWrapper(raw, encoding="ascii", newline="") as fh:
         fh.write(",".join(["index"] + [f"f{i}" for i in range(dim)]
                           + ["noisy_label", "clean_label", "cluster", "corrupted"]) + "\r\n")
         for i, (feats, labels) in enumerate(zip(emb, tail)):
@@ -75,10 +77,11 @@ def export_embeddings_csv(exp, path) -> int:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """8-bit binary PGM from a float array in [0, 1]."""
+    """8-bit binary PGM from a float array in [0, 1], replaced whole or not
+    at all."""
     h, w = image.shape
     data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
 

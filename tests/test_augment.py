@@ -15,7 +15,9 @@ from noisylab.augment import (
     AugmentPipeline,
     AugmentPolicy,
     UnsupportedOpError,
+    _PCG64Rows,
     _seed_states,
+    _Words,
     apply_op,
     augment_batch,
     derive_seed,
@@ -89,6 +91,11 @@ class TestSeedStates:
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
         for seed in _ENTROPY_PARTS:
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
+        # a pipeline long enough to draw past the precomputed PCG64 jumps:
+        # each op takes half a kind draw, its seed and its scalar
+        long_policy = AugmentPolicy(op_pool=("brightness-shift", "contrast-scale"), num_ops=30, magnitude=0.7)
+        for seed in (0, 7, 2**64 - 1):
+            assert sample_pipeline(long_policy, seed) == _oracle_sample_pipeline(long_policy, seed)
 
 
 class TestSamplePipeline:
@@ -391,3 +398,133 @@ class TestBatchMatchesPerSample:
             augment_batch(policy, _edge_batch((rows, 12, 12), np.float32), 3, 1, np.arange(rows))
             built.append(len(made))
         assert built[0] == built[1], f"SeedSequence objects per batch of 8 and 64 rows: {built}"
+
+    def test_no_pcg64_per_sample_without_noise(self, monkeypatch):
+        made = []
+        pcg64 = np.random.PCG64
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        pool = tuple(k for k in ALL_OPS if k != "gaussian-noise")
+        policy = AugmentPolicy(op_pool=pool, magnitude=0.5, num_ops=3)
+        built = []
+        for rows in (8, 64):
+            made.clear()
+            augment_batch(policy, _edge_batch((rows, 12, 12), np.float32), 3, 1, np.arange(rows))
+            built.append(len(made))
+        assert built[0] == built[1], f"PCG64 objects per batch of 8 and 64 rows: {built}"
+
+
+_MASK64 = 2**64 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rows_from_state(states, incs):
+    """Batched streams that start from the given PCG64 (state, inc) ints."""
+    def words(values):
+        return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                np.array([v & _MASK64 for v in values], dtype=np.uint64))
+    return _PCG64Rows(words(states), words(incs))
+
+
+def _generator_at(state, inc):
+    bit_gen = np.random.PCG64()
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_gen)
+
+
+def _state_before(output, inc, high):
+    """A PCG64 state whose next 64-bit output is ``output``: the state
+    after the step has high word ``high`` and the low word that makes its
+    XSL-RR ``output``; step back by the multiplier's inverse mod 2**128."""
+    rot = high >> 58
+    xored = (output << rot | output >> (64 - rot)) & _MASK64
+    after = high << 64 | (high ^ xored)
+    return (after - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+
+
+# Words at both ends of the range and in between.
+_EDGE_WORDS = [[0, 0, 0, 0], [_MASK64] * 4, [0, _MASK64, 0, _MASK64], [_MASK64, 0, _MASK64, 0],
+               [1, 2**63, 2**63 - 1, 1]]
+
+
+class TestPCG64Parity:
+    """The batched PCG64 must draw what numpy's Generator draws, bit for bit."""
+
+    def test_seeding_matches_pcg64_state(self):
+        words = np.array(_EDGE_WORDS + np.random.default_rng(0).integers(0, 2**64, (8, 4), dtype=np.uint64,
+                                                                         endpoint=False).tolist(),
+                         dtype=np.uint64)
+        rng = _PCG64Rows.seeded(words)
+        (s_hi, i_hi), (s_lo, i_lo) = (w[:, 0].tolist() for w in rng.words)
+        for r, w in enumerate(words):
+            want = np.random.PCG64(_Words(w)).state
+            inc = i_hi[r] << 64 | i_lo[r]
+            # the batched streams keep the state one step before numpy's
+            state = ((s_hi[r] << 64 | s_lo[r]) * _PCG_MULT + inc) % 2**128
+            assert (state, inc) == (want["state"]["state"], want["state"]["inc"])
+            assert (want["has_uint32"], want["uinteger"]) == (0, 0)
+        raw = np.stack([rng.next64(np.arange(len(words))) for _ in range(5)], axis=1)
+        expect = [np.random.PCG64(_Words(w)).random_raw(5).tolist() for w in words]
+        assert raw.tolist() == expect
+
+    def test_mixed_draws_match_generator(self):
+        # bounds with a high rejection rate (3 * 2**30, 2**32 - 1) and
+        # n == 1, which draws nothing; some draws skip the odd rows
+        program = [(6, "all"), (2**63 - 1, "all"), ("random", "even"), (7, "all"), ("uniform", "odd"),
+                   (3 * 2**30, "all"), (1, "all"), (2**32 - 1, "even"), (2**63 - 1, "odd"),
+                   (3 * 2**30 + 1, "all"), (5, "all"), (2, "odd"), (2**63 - 1, "all"), ("random", "all")]
+        words = np.random.default_rng(5).integers(0, 2**64, (40, 4), dtype=np.uint64, endpoint=False)
+        words[: len(_EDGE_WORDS)] = _EDGE_WORDS
+        rows = np.arange(len(words))
+        rng = _PCG64Rows.seeded(words, width=2)
+        gens = [np.random.PCG64(_Words(w)) for w in words]
+        gens = [np.random.Generator(g) for g in gens]
+        for n, which in program:
+            sub = rows if which == "all" else rows[rows % 2 == (which == "odd")]
+            if n == "random":
+                got, want = rng.random(sub), [gens[r].random() for r in sub]
+            elif n == "uniform":
+                got, want = -1.0 + 2.0 * rng.random(sub), [gens[r].uniform(-1.0, 1.0) for r in sub]
+            elif n < 2**32:
+                got = rng.integers32(sub, np.full(len(sub), n, dtype=np.uint64))
+                want = [int(gens[r].integers(0, n)) for r in sub]
+            else:
+                got, want = rng.integers64(sub, n), [int(gens[r].integers(0, n)) for r in sub]
+            assert got.tolist() == want, (n, which)
+        assert rng.next64(rows).tolist() == [g.bit_generator.random_raw() for g in gens]
+
+    def test_forced_rejection_32_bit(self):
+        # 2**32 % 7 == 4: a 32-bit draw of 0 is rejected. Row 0's first
+        # output has a zero low half, row 1's a zero high half, row 2's none.
+        inc = 2 * 0x9E3779B97F4A7C15F39CC0605CEDC835 + 1 & (2**128 - 1)
+        outputs = [0xDEADBEEF_00000000, 0x00000000_CAFEF00D, 0x12345678_9ABCDEF1]
+        states = [_state_before(out, inc, high) for out, high in zip(outputs, (7 << 58 | 5, 3, 63 << 58))]
+        rng = _rows_from_state(states, [inc] * 3)
+        gens = [_generator_at(s, inc) for s in states]
+        rows = np.arange(3)
+        for _ in range(3):
+            got = rng.integers32(rows, np.full(3, 7, dtype=np.uint64))
+            assert got.tolist() == [int(g.integers(0, 7)) for g in gens]
+        # rows 0 and 1 redrew once: four 32-bit halves used against three
+        assert rng.used.tolist() == [2, 2, 2]
+        assert rng.has32.tolist() == [False, False, True]
+        assert rng.random(rows).tolist() == [g.random() for g in gens]
+
+    def test_forced_rejection_64_bit(self):
+        # (2**64 - n) % n == 2 for n = 2**63 - 1: an output of 0 is rejected
+        inc = 2 * 12345 + 1
+        states = [_state_before(0, inc, 0xABCDEF), _state_before(2**64 - 5, inc, 17 << 58)]
+        rng = _rows_from_state(states, [inc] * 2)
+        gens = [_generator_at(s, inc) for s in states]
+        rows = np.arange(2)
+        assert rng.integers64(rows, 2**63 - 1).tolist() == [int(g.integers(0, 2**63 - 1)) for g in gens]
+        assert rng.used.tolist() == [2, 1]
+        assert rng.random(rows).tolist() == [g.random() for g in gens]
+        # a state whose next output is 0 gives random() == 0.0 as numpy does
+        again = _rows_from_state(states[:1], [inc])
+        assert again.random(np.arange(1)).tolist() == [_generator_at(states[0], inc).random()] == [0.0]

@@ -1,11 +1,14 @@
+import errno
+import io
 import struct
 
 import numpy as np
 import pytest
 
+from noisylab import data as data_mod
 from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from noisylab.data import load_dataset
-from noisylab.export import compute_embeddings, load_run_models
+from noisylab.export import compute_embeddings, export_embeddings_csv, export_gallery, load_run_models
 
 
 TINY = [
@@ -54,6 +57,13 @@ def test_corrupt_missing_file(tmp_path, capsys):
     code = main(["corrupt", "--input", str(tmp_path / "nope.bin"),
                  "--kind", "symmetric", "--eps", "0.5", "--out", str(tmp_path / "o.bin")])
     assert code == EXIT_RUNTIME
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("trained") / "run"
+    assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
+    return run
 
 
 def test_train_and_export(tmp_path, capsys):
@@ -152,3 +162,48 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing --out-dir
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--classes", "0"], ["--image", "abc"], ["--image", "5x"]],
+                         ids=["classes-0", "image-abc", "image-5x"])
+def test_generate_rejects_bad_arguments(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--samples", "20", "--out", str(tmp_path / "ds.bin")] + argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "ds.bin").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_export_rejects_non_positive_samples(trained_run, tmp_path, capsys, samples):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--run", str(trained_run), "--samples", samples, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "argument --samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _DiskFull(io.FileIO):
+    """A file that takes half of the first write and then fails, as a full
+    disk would."""
+
+    def write(self, data):
+        super().write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_export_keeps_previous_files(trained_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["export", "--run", str(trained_run), "--samples", "4", "--out-dir", str(out)]) == EXIT_OK
+    names = ["embeddings.csv", "gallery.pgm"]
+    before = [(out / name).read_bytes() for name in names]
+    exp, _ = load_run_models(trained_run)
+    monkeypatch.setattr(data_mod, "open", lambda path, mode: _DiskFull(path, mode.replace("b", "")),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        export_embeddings_csv(exp, out / "embeddings.csv")
+    with pytest.raises(OSError, match="No space"):
+        export_gallery(exp, out / "gallery.pgm", num_samples=6)
+    assert [(out / name).read_bytes() for name in names] == before
+    assert sorted(p.name for p in out.iterdir()) == names

@@ -341,6 +341,24 @@ class TestRunExperiment:
         assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
         assert rows == strip(tmp_path / "full" / "metrics.csv")
 
+    def test_resume_cuts_torn_last_row(self, tmp_path):
+        # a crash while appending epoch 2's row leaves part of it, with no
+        # newline, after the row of the last checkpointed epoch
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        run_experiment(cfg, run, stop_after=2)
+        with open(run / "metrics.csv", "ab") as fh:
+            fh.write(b"2,0.6132,0.58")
+        run_experiment({}, run, resume=True)
+        run_experiment(cfg, tmp_path / "full")
+        # all columns except wall-clock seconds must agree exactly
+        strip = lambda path: [line.rsplit(b",", 1)[0] for line in path.read_bytes().split(b"\n")]
+        rows = strip(run / "metrics.csv")
+        assert [row.split(b",")[0] for row in rows[1:-1]] == [b"0", b"1", b"2"]
+        assert rows == strip(tmp_path / "full" / "metrics.csv")
+        _assert_same_checkpoints(run, tmp_path / "full")
+        assert (run / "summary.json").read_bytes() == (tmp_path / "full" / "summary.json").read_bytes()
+
     def test_ordinary_resume_leaves_metrics_untouched(self, tmp_path):
         run = tmp_path / "run"
         run_experiment(tiny_config(), run, stop_after=2)
