@@ -196,7 +196,12 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(g, a=self, b=other):
-            return ((a, g @ b.data.T), (b, a.data.T @ g))
+            grads = []
+            if a.requires_grad:
+                grads.append((a, g @ b.data.T))
+            if b.requires_grad:
+                grads.append((b, a.data.T @ g))
+            return grads
 
         return Tensor._result(data, (self, other), backward, "matmul")
 

@@ -24,6 +24,7 @@ from .data import (
     generate_blobs,
     inject_noise,
     load_dataset,
+    replacing,
     save_dataset,
 )
 from .export import HashMismatchError, export_embeddings_csv, export_gallery, load_run_models
@@ -79,12 +80,10 @@ def cmd_corrupt(args) -> int:
     save_dataset(corrupted, args.out)
     matrix, undefined = empirical_transition_matrix(corrupted)
     matrix_path = str(args.out) + ".transition.csv"
-    with open(matrix_path, "w") as fh:
+    with replacing(matrix_path) as fh:
         for i, row in enumerate(matrix):
-            if undefined[i]:
-                fh.write(",".join("undefined" for _ in row) + "\n")
-            else:
-                fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+            cells = ["undefined"] * len(row) if undefined[i] else [f"{v:.6f}" for v in row]
+            fh.write((",".join(cells) + "\n").encode())
     flipped = int(corrupted.corrupted.sum())
     print(f"corrupted {flipped}/{len(ds)} labels ({args.kind}, eps={args.eps}) -> {args.out}")
     print(f"transition matrix -> {matrix_path}")

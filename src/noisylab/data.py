@@ -17,7 +17,6 @@ named little-endian arrays plus a JSON metadata block (``write_arrays`` and
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -339,11 +338,9 @@ def load_dataset(path) -> LabeledDataset:
 
 
 def export_labels_csv(ds: LabeledDataset, path) -> None:
-    """One row per sample: index, clean_label, noisy_label, corrupted."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "clean_label", "noisy_label", "corrupted"])
-        for i in range(len(ds)):
-            writer.writerow(
-                [i, int(ds.clean_labels[i]), int(ds.noisy_labels[i]), int(ds.corrupted[i])]
-            )
+    """One row per sample: index, clean_label, noisy_label, corrupted. The
+    file is replaced whole or not at all."""
+    table = np.stack([np.arange(len(ds)), ds.clean_labels, ds.noisy_labels, ds.corrupted], axis=1)
+    with replacing(path) as fh:
+        fh.write(b"index,clean_label,noisy_label,corrupted\r\n")
+        fh.write(("%d,%d,%d,%d\r\n" * len(ds) % tuple(table.ravel().tolist())).encode())

@@ -17,7 +17,7 @@ from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
 from .autodiff import Tensor
 from .data import LabeledDataset, load_dataset, replacing
-from .training import CheckpointError, build_experiment, load_checkpoint
+from .training import CheckpointError, _load_ckpt_state, build_experiment, load_checkpoint
 
 
 class HashMismatchError(CheckpointError):
@@ -40,8 +40,7 @@ def load_run_models(run_dir, checkpoint: str = "best"):
         raise HashMismatchError(
             f"checkpoint hash {meta['config_hash'][:12]} != config hash {expected[:12]}"
         )
-    params = {k: v for k, v in arrays.items() if not k.startswith("velocity.")}
-    exp.models.load_state_arrays(params)
+    _load_ckpt_state(exp, arrays)
     return exp, meta
 
 

@@ -199,6 +199,7 @@ class ModelSet:
         return {name: p.data for name, p in self.parameters().items()}
 
     def load_state_arrays(self, arrays: dict):
+        """Copy ``arrays`` into the parameter arrays once every name and shape matches."""
         params = self.parameters()
         missing = set(params) - set(arrays)
         extra = set(arrays) - set(params)
@@ -207,5 +208,6 @@ class ModelSet:
         for name, p in params.items():
             if p.data.shape != arrays[name].shape:
                 raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arrays[name].shape}")
-            p.data = arrays[name].astype(p.data.dtype, copy=True)
+        for name, p in params.items():
+            p.data[...] = arrays[name]
 

@@ -81,26 +81,45 @@ class SgdOptimizer:
 
     v <- momentum * v + grad + weight_decay * param
     param <- param - lr * v
+
+    Every ``params[name].data`` and ``velocities[name]`` is a view into one
+    flat buffer, so a step is a few array operations over all parameters.
+    Load values by copying into these views, never by rebinding them.
     """
 
     def __init__(self, params: dict, momentum: float = 0.9, weight_decay: float = 1e-4):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocities = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._flat = np.concatenate([p.data for p in params.values()], axis=None)
+        self._velocity = np.zeros(self._flat.size, self._flat.dtype)
+        self._grad = np.empty_like(self._flat)
+        self._zero = np.zeros(max(p.data.size for p in params.values()), self._flat.dtype)
+        self.velocities = {}
+        lo = 0
+        for name, p in params.items():
+            hi = lo + p.data.size
+            p.data = self._flat[lo:hi].reshape(p.data.shape)
+            self.velocities[name] = self._velocity[lo:hi].reshape(p.data.shape)
+            lo = hi
 
     def step(self, lr: float):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
-        for name, p in self.params.items():
-            grad = p.grad
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            if np.any(np.isnan(grad)):
-                raise DivergenceError(f"NaN gradient in parameter {name!r}")
-            v = self.momentum * self.velocities[name] + grad + self.weight_decay * p.data
-            self.velocities[name] = v
-            p.data = p.data - lr * v
+        grads = [self._zero[: p.data.size] if p.grad is None else p.grad for p in self.params.values()]
+        g = np.concatenate(grads, axis=None, out=self._grad)
+        if np.isnan(g).any():
+            name = next(name for name, grad in zip(self.params, grads) if np.isnan(grad).any())
+            raise DivergenceError(f"NaN gradient in parameter {name!r}")
+        # This order, ((momentum * v) + grad) + (weight_decay * param), fixes
+        # every step's float32 rounding. Once added, g is scratch space.
+        v = self._velocity
+        np.multiply(v, self.momentum, out=v)
+        v += g
+        np.multiply(self._flat, self.weight_decay, out=g)
+        v += g
+        np.multiply(v, lr, out=g)
+        self._flat -= g
 
 
 def lr_at(base_lr: float, epoch: int, total_epochs: int, milestones=(0.5, 0.75), step_ratio: float = 0.1) -> float:
@@ -272,14 +291,17 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     classify_clean = cfg["losses.classification_view"] == "clean"
     needs_aug = sw.reconstruction or sw.cluster or (sw.bootstrap and not classify_clean)
     needs_clean = sw.cluster or (sw.bootstrap and classify_clean)
+    # Rows are augmented independently: one call over the epoch's order gives
+    # each batch the bytes of a call per batch, for one call's fixed cost.
+    x_aug_epoch = augment_batch(exp.policy, ds.features[order], cfg["seeds.augment"],
+                                epoch, order) if needs_aug else None
 
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
         x_clean_np = ds.features[idx]
         feat_aug = None
         if needs_aug:
-            x_aug_np = augment_batch(exp.policy, x_clean_np, cfg["seeds.augment"], epoch, idx)
-            feat_aug = exp.models.backbone(Tensor(x_aug_np))
+            feat_aug = exp.models.backbone(Tensor(x_aug_epoch[lo : lo + batch_size]))
 
         feat_clean = None
         if needs_clean:
@@ -504,15 +526,22 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
 
 
 def _load_ckpt_state(exp: Experiment, arrays: dict):
+    """Copy a checkpoint's parameters and velocities into the experiment's
+    arrays once every name and shape matches; raises CheckpointError."""
     params = {k: v for k, v in arrays.items() if not k.startswith("velocity.")}
-    exp.models.load_state_arrays(params)
-    for name in exp.optimizer.velocities:
+    for name, v in exp.optimizer.velocities.items():
         key = f"velocity.{name}"
         if key not in arrays:
             raise CheckpointError(f"checkpoint missing optimizer state for {name!r}")
-        exp.optimizer.velocities[name] = arrays[key].copy()
-    # rebind parameter tensors (load_state_arrays replaced .data in place)
-    exp.optimizer.params = exp.models.parameters()
+        if arrays[key].shape != v.shape:
+            raise CheckpointError(f"checkpoint optimizer state for {name!r} has shape "
+                                  f"{arrays[key].shape}, expected {v.shape}")
+    try:
+        exp.models.load_state_arrays(params)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not fit the model: {exc}") from None
+    for name, v in exp.optimizer.velocities.items():
+        v[...] = arrays[f"velocity.{name}"]
 
 
 def ablation_row_config(base_cfg: dict, row: str) -> dict:

@@ -77,6 +77,30 @@ class TestBackward:
         (w + w).sum().backward()
         np.testing.assert_allclose(w.grad, [2.0])
 
+    def test_matmul_computes_no_gradient_for_constant_operand(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 5)).astype(np.float32)
+        w1 = rng.standard_normal((5, 7)).astype(np.float32)
+        w2 = rng.standard_normal((7, 3)).astype(np.float32)
+
+        def grads(x_leaf):
+            ws = [Tensor(w.copy(), requires_grad=True) for w in (w1, w2)]
+            out = x_leaf.matmul(ws[0]).relu().matmul(ws[1])
+            out.square().sum().backward()
+            return out, [w.grad for w in ws]
+
+        x_leaf = Tensor(x)
+        out, got = grads(x_leaf)
+        assert x_leaf.grad is None
+        first = out._parents[0]._parents[0]
+        assert first.op == "matmul"
+        g = np.ones(first.shape, dtype=np.float32)
+        assert [t for t, _ in first._backward(g)] == [first._parents[1]]
+        # same bits as when the input's gradient is computed too
+        _, want = grads(Tensor(x, requires_grad=True))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_mlp_matches_finite_differences(self):
         # 3-layer perceptron; checks the whole chain at once
         rng = np.random.default_rng(42)

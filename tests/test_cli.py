@@ -1,14 +1,17 @@
 import errno
 import io
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from noisylab import config as config_mod
 from noisylab import data as data_mod
 from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from noisylab.data import load_dataset
 from noisylab.export import compute_embeddings, export_embeddings_csv, export_gallery, load_run_models
+from noisylab.training import load_checkpoint, run_experiment, save_checkpoint
 
 
 TINY = [
@@ -107,6 +110,35 @@ def test_resume_rejects_damaged_checkpoint(tmp_path, capsys, damage):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def stopped_run(tmp_path_factory):
+    """A run stopped after the first of its two epochs."""
+    run = tmp_path_factory.mktemp("stopped") / "run"
+    run_experiment(config_mod.parse_entries(config_mod.parse_overrides(TINY[1::2])), run, stop_after=1)
+    return run
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("velocity.backbone.w1", (3,)),
+    ("backbone.b1", (3,)),
+    ("velocity.backbone.b1", (1,)),  # would broadcast into the velocity
+])
+def test_checkpoint_shape_mismatch_rejected(stopped_run, tmp_path, capsys, name, shape):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    ckpt = run / "checkpoints" / "last.ckpt"
+    arrays, meta = load_checkpoint(ckpt)
+    assert arrays[name].shape != shape
+    arrays[name] = np.zeros(shape, np.float32)
+    save_checkpoint(ckpt, arrays, **meta)
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    assert name.removeprefix("velocity.") in capsys.readouterr().err
+    assert main(["export", "--run", str(run), "--checkpoint", "last",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert name.removeprefix("velocity.") in capsys.readouterr().err
+    assert load_checkpoint(ckpt)[0][name].shape == shape
+
+
 def test_version_1_files_rejected(tmp_path, capsys):
     # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
     old_dataset = tmp_path / "old.bin"
@@ -191,6 +223,25 @@ class _DiskFull(io.FileIO):
     def write(self, data):
         super().write(bytes(data[: len(data) // 2]))
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_csv_writes_keep_previous_files(tmp_path, monkeypatch):
+    src, dst = tmp_path / "clean.bin", tmp_path / "noisy.bin"
+    generate = ["generate", "--samples", "40", "--out", str(src)]
+    corrupt = ["corrupt", "--input", str(src), "--kind", "symmetric", "--eps", "0.5", "--out", str(dst)]
+    assert main(generate) == EXIT_OK and main(corrupt) == EXIT_OK
+    names = ["clean.bin", "clean.bin.labels.csv", "noisy.bin", "noisy.bin.transition.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    before = [(tmp_path / name).read_bytes() for name in names]
+
+    def csv_disk_full(path, mode):
+        return (_DiskFull if str(path).endswith(".csv.tmp") else io.FileIO)(path, mode.replace("b", ""))
+
+    monkeypatch.setattr(data_mod, "open", csv_disk_full, raising=False)
+    assert main(generate) == EXIT_RUNTIME
+    assert main(corrupt) == EXIT_RUNTIME
+    assert [(tmp_path / name).read_bytes() for name in names] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_failed_export_keeps_previous_files(trained_run, tmp_path, monkeypatch):

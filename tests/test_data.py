@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import struct
 
@@ -251,6 +253,16 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,clean_label,noisy_label,corrupted"
         assert len(lines) == 11
+
+    def test_labels_csv_bytes_match_csv_writer(self, tmp_path):
+        ds = inject_noise(generate_blobs(40, 4, 3, 1.0, seed=0), NoiseSpec("symmetric", 0.5, 4, seed=1))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["index", "clean_label", "noisy_label", "corrupted"])
+        for i in range(len(ds)):
+            writer.writerow([i, int(ds.clean_labels[i]), int(ds.noisy_labels[i]), int(ds.corrupted[i])])
+        export_labels_csv(ds, tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_bytes() == want.getvalue().encode()
 
 
 def _container(block: dict, payload: bytes = b"") -> bytes:

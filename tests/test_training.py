@@ -10,10 +10,12 @@ import pytest
 from noisylab import config as config_mod
 from noisylab import data as data_mod
 from noisylab import training as training_mod
+from noisylab.augment import ALL_OPS, augment_batch
 from noisylab.autodiff import Tensor
 from noisylab.training import (
     ABLATION_ROWS,
     CheckpointError,
+    DivergenceError,
     RunLockError,
     SgdOptimizer,
     ablation_row_config,
@@ -73,6 +75,35 @@ class TestOptimizer:
         p = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError):
             SgdOptimizer({"p": p}).step(-0.1)
+
+    @pytest.mark.parametrize("bad", ["a", "c"])
+    def test_nan_gradient_names_parameter_and_changes_nothing(self, bad):
+        params = {name: Tensor(np.full(shape, 1.0, np.float32), requires_grad=True)
+                  for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (3, 2)))}
+        opt = SgdOptimizer(params)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        params[bad].grad[-1, -1] = np.nan
+        with pytest.raises(DivergenceError, match=f"'{bad}'"):
+            opt.step(0.1)
+        for name, p in params.items():
+            assert np.all(p.data == 1.0) and np.all(opt.velocities[name] == 0.0)
+
+    def test_step_after_checkpoint_load_moves_model_parameters(self):
+        cfg = tiny_config()
+        donor = build_experiment(cfg)
+        train_epoch(donor, 0)
+        state = {name: a.copy() for name, a in training_mod._ckpt_state(donor).items()}
+        exp = build_experiment(cfg)
+        training_mod._load_ckpt_state(exp, state)
+        for name, p in exp.models.parameters().items():
+            assert np.array_equal(p.data, state[name])
+            assert np.array_equal(exp.optimizer.velocities[name], state[f"velocity.{name}"])
+        train_epoch(exp, 1)
+        train_epoch(donor, 1)
+        for name, p in exp.models.parameters().items():
+            assert np.array_equal(p.data, donor.models.parameters()[name].data)
+        assert any(not np.array_equal(p.data, state[name]) for name, p in exp.models.parameters().items())
 
 
 class TestLrSchedule:
@@ -191,6 +222,30 @@ class TestWiring:
                 train_epoch(exp, 0)
         else:
             assert np.isfinite(train_epoch(exp, 0).loss_total)
+
+    @pytest.mark.parametrize("extra", [
+        {"augment.ops": list(ALL_OPS), "augment.num_ops": 3, "data.image_size": 12},
+        {"model.backbone": "conv", "data.image_size": 12},
+    ], ids=["all-ops", "conv"])
+    def test_epoch_augmented_in_one_call(self, monkeypatch, extra):
+        calls = []
+
+        def recording(*args):
+            calls.append((args, augment_batch(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(training_mod, "augment_batch", recording)
+        cfg = ablation_row_config(tiny_config(**{"data.samples": 90, **extra}), "+A+B+C")
+        exp = build_experiment(cfg)
+        train_epoch(exp, 1)
+        ((policy, features, seed, epoch, order), whole), = calls
+        size = cfg["train.batch_size"]
+        assert len(order) == len(exp.train_idx) and len(order) % size != 0  # a partial last batch
+        np.testing.assert_array_equal(features, exp.dataset.features[order])
+        per_batch = [augment_batch(policy, exp.dataset.features[order[lo : lo + size]], seed, epoch,
+                                   order[lo : lo + size])
+                     for lo in range(0, len(order), size)]
+        assert whole.tobytes() == np.concatenate(per_batch).tobytes()
 
     def test_train_epoch_deterministic(self):
         cfg = tiny_config()
