@@ -3,13 +3,18 @@
 Tensors wrap numpy arrays and record the operations that produced them as
 a graph of parent links plus backward closures. Calling ``backward()`` on a
 scalar tensor walks that graph in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad=True``.
+gradients into every reachable tensor with ``requires_grad=True``. Inside
+``no_grad()`` no graph is recorded, for passes whose results are only read.
 
 The operator catalog is exactly what the small models and losses need:
-matmul, broadcasting add/mul, relu, sigmoid, exp, log, clamp, square,
-sum/mean, softmax/log-softmax, reshape, 2-d convolution, transposed
-convolution and max pooling. No GPU, no broadcasting beyond bias-style
-shapes, no fusion.
+``linear`` (matmul, bias add and an optional relu as one node), matmul,
+broadcasting add/sub/mul, neg, relu, sigmoid, square, a log clamped to
+probabilities, sum/mean, softmax/log-softmax, reshape, 2-d convolution,
+transposed convolution and max pooling. No GPU, no broadcasting beyond
+bias-style shapes. A fused node runs the same numpy operations, in the same
+order and dtype, as the chain of single ops it stands for, so its outputs
+and gradients are bit for bit theirs. An operand that needs no gradient
+gets none computed.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
 (gradient checking needs it).
@@ -17,6 +22,7 @@ Default dtype is float32; pass float64 arrays for wide-precision work
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -26,13 +32,12 @@ DEFAULT_DTYPE = np.float32
 # Log arguments derived from probabilities are clamped to this range.
 PROB_EPS = 1e-12
 
+# False inside no_grad(): op results then record no parents and no closure.
+_recording = True
+
 
 class ShapeError(ValueError):
     """Operand shapes invalid for an operator."""
-
-
-class DomainError(ValueError):
-    """Operand values outside an operator's domain (e.g. log of x <= 0)."""
 
 
 def _as_array(data, dtype=None):
@@ -42,6 +47,18 @@ def _as_array(data, dtype=None):
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(DEFAULT_DTYPE)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the graph: their results have no parents,
+    no backward closure and no gradient, and hold nothing alive."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 class Tensor:
@@ -60,12 +77,20 @@ class Tensor:
     # -- construction helper for op results -------------------------------
     @staticmethod
     def _result(data, parents, backward, op):
-        out = Tensor(data)
+        # Built without __init__: op results are float arrays already, or
+        # numpy scalars from full reductions and arithmetic on 0-d arrays.
+        out = object.__new__(Tensor)
+        out.data = data if type(data) is np.ndarray else np.asarray(data)
+        out.grad = None
         out.op = op
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = tuple(parents)
+            out._parents = parents
             out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
         return out
 
     @property
@@ -148,7 +173,12 @@ class Tensor:
             raise ShapeError(f"add: incompatible shapes {self.shape} and {other.shape}") from exc
 
         def backward(g, a=self, b=other):
-            return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+            grads = []
+            if a.requires_grad:
+                grads.append((a, _unbroadcast(g, a.shape)))
+            if b.requires_grad:
+                grads.append((b, _unbroadcast(g, b.shape)))
+            return grads
 
         return Tensor._result(data, (self, other), backward, "add")
 
@@ -161,10 +191,23 @@ class Tensor:
         return Tensor._result(-self.data, (self,), backward, "neg")
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        # IEEE subtraction is addition of the negation, bit for bit, so this
+        # node equals self + (-other) with its gradients.
+        other = self._coerce(other)
+        try:
+            data = self.data - other.data
+        except ValueError as exc:
+            raise ShapeError(f"sub: incompatible shapes {self.shape} and {other.shape}") from exc
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        def backward(g, a=self, b=other):
+            grads = []
+            if a.requires_grad:
+                grads.append((a, _unbroadcast(g, a.shape)))
+            if b.requires_grad:
+                grads.append((b, -_unbroadcast(g, b.shape)))
+            return grads
+
+        return Tensor._result(data, (self, other), backward, "sub")
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -174,10 +217,12 @@ class Tensor:
             raise ShapeError(f"multiply: incompatible shapes {self.shape} and {other.shape}") from exc
 
         def backward(g, a=self, b=other):
-            return (
-                (a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)),
-            )
+            grads = []
+            if a.requires_grad:
+                grads.append((a, _unbroadcast(g * b.data, a.shape)))
+            if b.requires_grad:
+                grads.append((b, _unbroadcast(g * a.data, b.shape)))
+            return grads
 
         return Tensor._result(data, (self, other), backward, "multiply")
 
@@ -185,14 +230,7 @@ class Tensor:
 
     def matmul(self, other):
         other = self._coerce(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(
-                f"matmul: expects 2-d operands, got {self.shape} and {other.shape}"
-            )
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"matmul: inner dims differ, {self.shape} @ {other.shape}"
-            )
+        _check_matmul("matmul", self, other)
         data = self.data @ other.data
 
         def backward(g, a=self, b=other):
@@ -227,32 +265,16 @@ class Tensor:
 
         return Tensor._result(y, (self,), backward, "sigmoid")
 
-    def exp(self):
-        y = np.exp(self.data)
+    def clamped_log(self):
+        """log of the values clipped to [PROB_EPS, 1]; the gradient passes
+        only where a value lies inside that range."""
+        mask = (self.data >= PROB_EPS) & (self.data <= 1.0)
+        clipped = np.clip(self.data, PROB_EPS, 1.0)
 
-        def backward(g, a=self, y=y):
-            return ((a, g * y),)
+        def backward(g, a=self, clipped=clipped, m=mask):
+            return ((a, (g / clipped) * m),)
 
-        return Tensor._result(y, (self,), backward, "exp")
-
-    def log(self):
-        if np.any(self.data <= 0):
-            raise DomainError("log: non-positive input outside the clamp path")
-        y = np.log(self.data)
-
-        def backward(g, a=self):
-            return ((a, g / a.data),)
-
-        return Tensor._result(y, (self,), backward, "log")
-
-    def clamp(self, lo, hi):
-        """Clip values to [lo, hi]; gradient passes only inside the range."""
-        mask = (self.data >= lo) & (self.data <= hi)
-
-        def backward(g, a=self, m=mask):
-            return ((a, g * m),)
-
-        return Tensor._result(np.clip(self.data, lo, hi), (self,), backward, "clamp")
+        return Tensor._result(np.log(clipped), (self,), backward, "clamped_log")
 
     def square(self):
         def backward(g, a=self):
@@ -265,16 +287,21 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g, a=self, axis=axis, keepdims=keepdims):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            return ((a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False)),)
+            return ((a, _unreduce(g, a, axis, keepdims)),)
 
         return Tensor._result(data, (self,), backward, "sum")
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        # the sum times its dtype's 1/n: a sum node and a multiply by a
+        # constant, as one node
+        scale = np.asarray(1.0 / n, dtype=self.dtype)
+        data = self.data.sum(axis=axis, keepdims=keepdims) * scale
+
+        def backward(g, a=self, axis=axis, keepdims=keepdims):
+            return ((a, _unreduce(g * scale, a, axis, keepdims)),)
+
+        return Tensor._result(data, (self,), backward, "mean")
 
     # -- shape -------------------------------------------------------------
     def reshape(self, *shape):
@@ -321,6 +348,47 @@ def _unbroadcast(grad, shape):
         if sdim == 1 and gdim != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad.reshape(shape)
+
+
+def _unreduce(g, a, axis, keepdims):
+    """Gradient of a sum of ``a`` over ``axis``: g broadcast back to a."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape).astype(a.dtype, copy=False)
+
+
+def _check_matmul(name, a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"{name}: expects 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{name}: inner dims differ, {a.shape} @ {b.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, then ``relu`` if asked, as one node. x: (N, fan_in),
+    w: (fan_in, fan_out), b: (fan_out,)."""
+    _check_matmul("linear", x, w)
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.shape}, expected ({w.shape[1]},)")
+    z = x.data @ w.data + b.data
+    mask = None
+    if relu:
+        mask = z > 0
+        z *= mask
+
+    def backward(g, x=x, w=w, b=b, mask=mask):
+        if mask is not None:
+            g = g * mask
+        grads = []
+        if b.requires_grad:
+            grads.append((b, g.sum(axis=0)))
+        if x.requires_grad:
+            grads.append((x, g @ w.data.T))
+        if w.requires_grad:
+            grads.append((w, x.data.T @ g))
+        return grads
+
+    return Tensor._result(z, (x, w, b), backward, "linear")
 
 
 # ---------------------------------------------------------------------------

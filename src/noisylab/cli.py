@@ -194,6 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and (args.config or args.override or args.seed is not None):
+        # a resumed run reads its own config.txt; these would be ignored
+        parser.error("train: --resume takes no --config, --override or --seed")
     try:
         return args.func(args)
     except (ConfigError, DatasetError, DoubleInjectionError) as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import LabeledDataset, load_dataset, replacing
 from .training import CheckpointError, _load_ckpt_state, build_experiment, load_checkpoint
 
@@ -49,11 +49,12 @@ def compute_embeddings(models, features: np.ndarray, batch_size: int = 256):
     dim = models.backbone.feature_dim
     emb = np.empty((len(features), dim), dtype=np.float32)
     cluster = np.empty(len(features), dtype=np.int64)
-    for lo in range(0, len(features), batch_size):
-        chunk = Tensor(features[lo : lo + batch_size])
-        feats = models.backbone(chunk)
-        emb[lo : lo + batch_size] = feats.data
-        cluster[lo : lo + batch_size] = models.cluster_head.logits(feats).data.argmax(axis=-1)
+    with no_grad():
+        for lo in range(0, len(features), batch_size):
+            chunk = Tensor(features[lo : lo + batch_size])
+            feats = models.backbone(chunk)
+            emb[lo : lo + batch_size] = feats.data
+            cluster[lo : lo + batch_size] = models.cluster_head.logits(feats).data.argmax(axis=-1)
     return emb, cluster
 
 
@@ -93,7 +94,8 @@ def reconstruction_gallery(exp, num_samples: int = 8, epoch: int = 0):
     idx = np.arange(min(num_samples, len(ds)))
     originals = ds.features[idx]
     augmented = augment_batch(exp.policy, originals, exp.cfg["seeds.augment"], epoch, idx)
-    recon = exp.models.decoder(exp.models.backbone(Tensor(augmented))).data
+    with no_grad():
+        recon = exp.models.decoder(exp.models.backbone(Tensor(augmented))).data
 
     gutter = 2
     h, w = ds.input_shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import PROB_EPS, Tensor
+from .autodiff import Tensor
 
 PROB_ROW_TOL = 1e-4
 
@@ -31,10 +31,6 @@ def _check_rows_normalized(probs: Tensor, name: str):
         raise LossInputError(f"{name}: rows must sum to 1 (max deviation {worst:.3g})")
 
 
-def _clamped_log(probs: Tensor) -> Tensor:
-    return probs.clamp(PROB_EPS, 1.0).log()
-
-
 def task_loss(pred_probs: Tensor, labels_onehot) -> Tensor:
     """Mean cross-entropy of predicted probabilities against one-hot labels."""
     _check_rows_normalized(pred_probs, "task_loss predictions")
@@ -43,7 +39,7 @@ def task_loss(pred_probs: Tensor, labels_onehot) -> Tensor:
         raise LossInputError(
             f"task_loss: labels shape {onehot.shape} vs predictions {pred_probs.shape}"
         )
-    per_sample = -(Tensor(onehot) * _clamped_log(pred_probs)).sum(axis=-1)
+    per_sample = -(Tensor(onehot) * pred_probs.clamped_log()).sum(axis=-1)
     return per_sample.mean()
 
 
@@ -60,7 +56,7 @@ def reconstruction_loss(x_hat: Tensor, x) -> Tensor:
 def conditional_entropy(cluster_probs: Tensor) -> Tensor:
     """Batch mean of per-row entropy; in [0, ln K]."""
     _check_rows_normalized(cluster_probs, "conditional_entropy")
-    per_row = -(cluster_probs * _clamped_log(cluster_probs)).sum(axis=-1)
+    per_row = -(cluster_probs * cluster_probs.clamped_log()).sum(axis=-1)
     return per_row.mean()
 
 
@@ -73,7 +69,7 @@ def marginal_entropy_term(cluster_probs_batch: Tensor) -> Tensor:
     _check_rows_normalized(cluster_probs_batch, "marginal_entropy_term")
     k = cluster_probs_batch.shape[-1]
     marginal = cluster_probs_batch.mean(axis=0)
-    return (marginal * (_clamped_log(marginal) + math.log(k))).sum()
+    return (marginal * (marginal.clamped_log() + math.log(k))).sum()
 
 
 def consistency_penalty(clean_cluster_probs: Tensor, aug_cluster_probs: Tensor, block_target_grad: bool = True) -> Tensor:
@@ -89,7 +85,7 @@ def consistency_penalty(clean_cluster_probs: Tensor, aug_cluster_probs: Tensor, 
     _check_rows_normalized(clean_cluster_probs, "consistency_penalty target")
     _check_rows_normalized(aug_cluster_probs, "consistency_penalty prediction")
     target = clean_cluster_probs.detach() if block_target_grad else clean_cluster_probs
-    per_row = -(target * _clamped_log(aug_cluster_probs)).sum(axis=-1)
+    per_row = -(target * aug_cluster_probs.clamped_log()).sum(axis=-1)
     return per_row.mean()
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, conv_transpose2d, max_pool2d
+from .autodiff import Tensor, conv2d, conv_transpose2d, linear, max_pool2d
 
 
 def _linear_init(rng, fan_in, fan_out, dtype):
@@ -59,8 +59,8 @@ class MlpBackbone(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         flat = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
-        h = (flat.matmul(self.w1) + self.b1).relu()
-        return (h.matmul(self.w2) + self.b2).relu()
+        h = linear(flat, self.w1, self.b1, relu=True)
+        return linear(h, self.w2, self.b2, relu=True)
 
 
 class ConvBackbone(Module):
@@ -90,7 +90,7 @@ class ConvBackbone(Module):
         h = max_pool2d(conv2d(img, self.cw1, self.cb1, padding=1).relu(), 2)
         h = max_pool2d(conv2d(h, self.cw2, self.cb2, padding=1).relu(), 2)
         h = conv2d(h, self.cw3, self.cb3, padding=1).relu()
-        return (h.reshape(n, -1).matmul(self.fw) + self.fb).relu()
+        return linear(h.reshape(n, -1), self.fw, self.fb, relu=True)
 
 
 class SoftmaxHead(Module):
@@ -103,7 +103,7 @@ class SoftmaxHead(Module):
         self.w, self.b = self._register("w", w), self._register("b", b)
 
     def logits(self, features: Tensor) -> Tensor:
-        return features.matmul(self.w) + self.b
+        return linear(features, self.w, self.b)
 
     def __call__(self, features: Tensor) -> Tensor:
         return self.logits(features).softmax(axis=-1)
@@ -125,8 +125,8 @@ class MlpDecoder(Module):
         self.w2, self.b2 = self._register("w2", w2), self._register("b2", b2)
 
     def __call__(self, features: Tensor) -> Tensor:
-        h = (features.matmul(self.w1) + self.b1).relu()
-        out = (h.matmul(self.w2) + self.b2).sigmoid()
+        h = linear(features, self.w1, self.b1, relu=True)
+        out = linear(h, self.w2, self.b2).sigmoid()
         return out.reshape((features.shape[0],) + self.output_shape)
 
 
@@ -151,7 +151,7 @@ class ConvDecoder(Module):
 
     def __call__(self, features: Tensor) -> Tensor:
         n = features.shape[0]
-        h = (features.matmul(self.fw) + self.fb).relu()
+        h = linear(features, self.fw, self.fb, relu=True)
         h = h.reshape(n, self.c1, *self.base)
         h = conv_transpose2d(h, self.tw1, self.tb1, stride=2).relu()
         h = conv_transpose2d(h, self.tw2, self.tb2, stride=2).relu()

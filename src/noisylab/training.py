@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import (
     DatasetFileError,
     LabeledDataset,
@@ -236,10 +236,11 @@ def _onehot(labels, num_classes, dtype=np.float32):
 
 def predict_classes(models: ModelSet, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
     preds = np.empty(len(features), dtype=np.int64)
-    for lo in range(0, len(features), batch_size):
-        chunk = Tensor(features[lo : lo + batch_size])
-        logits = models.classifier.logits(models.backbone(chunk))
-        preds[lo : lo + batch_size] = logits.data.argmax(axis=-1)
+    with no_grad():
+        for lo in range(0, len(features), batch_size):
+            chunk = Tensor(features[lo : lo + batch_size])
+            logits = models.classifier.logits(models.backbone(chunk))
+            preds[lo : lo + batch_size] = logits.data.argmax(axis=-1)
     return preds
 
 
@@ -461,13 +462,14 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
     if no epoch finished, after cutting metrics.csv back to the checkpoint's
     epoch. Resuming a finished run returns its stored summary and writes
     nothing; if the summary is missing, it is rebuilt from the last row of
-    metrics.csv. ``stop_after`` stops cleanly after that many
-    additional epochs (used to exercise resume).
+    metrics.csv. Without ``resume``, a directory that already holds a run
+    (a config.txt) is refused with FileExistsError before any of its files
+    is written. ``stop_after`` stops cleanly after that many additional epochs
+    (used to exercise resume).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
 
     with _RunLock(out_dir):
@@ -487,9 +489,13 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             start_epoch = meta["epoch"]
             best_acc, best_epoch = meta["best_acc"], meta["best_epoch"]
         else:
+            if (out_dir / "config.txt").exists():
+                raise FileExistsError(f"{out_dir} already holds a run; continue it with "
+                                      "--resume or train into a new directory")
             cfg = config_mod.validate(dict(cfg))
             exp = build_experiment(cfg)
             chash = config_mod.config_hash(cfg)
+            ckpt_dir.mkdir(exist_ok=True)
             config_mod.dump(cfg, out_dir / "config.txt")
             save_dataset(exp.dataset, out_dir / "dataset.bin")
             _write_metrics_header(metrics_path)

@@ -1,16 +1,21 @@
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from noisylab import config as config_mod
+from noisylab import export, training
 from noisylab.autodiff import (
-    DomainError,
+    PROB_EPS,
     ShapeError,
     Tensor,
     conv2d,
     conv_transpose2d,
     grad_check,
+    linear,
     max_pool2d,
+    no_grad,
 )
 
 
@@ -37,9 +42,12 @@ class TestForwardOps:
         with pytest.raises(ShapeError, match="matmul"):
             Tensor(np.zeros((2, 3))).matmul(Tensor(np.zeros((2, 3))))
 
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError):
-            Tensor([1.0, -1.0]).log()
+    def test_linear_shape_errors_name_operator(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="linear: inner dims"):
+            linear(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="linear: bias shape"):
+            linear(x, w, Tensor(np.zeros(3)))
 
     def test_softmax_rows_normalized(self):
         rng = np.random.default_rng(0)
@@ -149,14 +157,21 @@ OPERATOR_CASES = [
     ("matmul", lambda t, aux: t.matmul(Tensor(aux.T)).square().sum(), (3, 4)),
     ("relu", lambda t, aux: t.relu().square().sum(), (3, 4)),
     ("sigmoid", lambda t, aux: t.sigmoid().square().sum(), (3, 4)),
-    ("exp", lambda t, aux: t.exp().sum(), (3, 4)),
     ("square", lambda t, aux: t.square().sum(), (3, 4)),
     ("sum_axis", lambda t, aux: t.sum(axis=1).square().sum(), (3, 4)),
     ("mean", lambda t, aux: t.mean().square().sum(), (3, 4)),
+    ("mean_axis0", lambda t, aux: (t.mean(axis=0) * Tensor(aux[0])).sum(), (3, 4)),
+    ("mean_last_keepdims", lambda t, aux: (t.mean(axis=-1, keepdims=True) * Tensor(aux)).sum(), (3, 4)),
+    ("sub", lambda t, aux: (t - Tensor(aux[0])).square().sum(), (3, 4)),
+    ("sub_subtrahend", lambda t, aux: (Tensor(aux) - t).square().sum(), (3, 4)),
+    ("linear", lambda t, aux: linear(t, Tensor(aux.T), Tensor(aux[:, 0])).square().sum(), (3, 4)),
+    ("linear_relu", lambda t, aux: linear(t, Tensor(aux.T), Tensor(aux[:, 0]), relu=True).square().sum(), (3, 4)),
+    ("linear_w", lambda t, aux: linear(Tensor(aux.T), t, Tensor(aux[0]), relu=True).square().sum(), (3, 4)),
+    ("linear_b", lambda t, aux: linear(Tensor(aux), Tensor(aux.T), t, relu=True).square().sum(), (3,)),
     ("softmax", lambda t, aux: t.softmax(axis=-1).square().sum(), (3, 4)),
     ("log_softmax", lambda t, aux: t.log_softmax(axis=-1).square().sum(), (3, 4)),
     ("reshape", lambda t, aux: t.reshape(4, 3).matmul(Tensor(aux[:, :3])).sum(), (3, 4)),
-    ("log_clamped", lambda t, aux: t.softmax(axis=-1).clamp(1e-12, 1.0).log().sum(), (3, 4)),
+    ("clamped_log", lambda t, aux: t.softmax(axis=-1).clamped_log().sum(), (3, 4)),
     ("conv2d", lambda t, aux: conv2d(t, Tensor(aux), padding=1).square().sum(), (2, 2, 5, 5)),
     ("conv2d_w", lambda t, aux: conv2d(Tensor(aux), t, padding=0).square().sum(), (3, 2, 3, 3)),
     ("conv_transpose2d", lambda t, aux: conv_transpose2d(t, Tensor(aux), stride=2).square().sum(), (2, 2, 3, 3)),
@@ -353,3 +368,168 @@ class TestKernelsMatchOracle:
     def test_max_pool_propagates_nan(self):
         x = np.array([[[[1.0, np.nan], [3.0, 2.0]]]], dtype=np.float32)
         assert np.isnan(max_pool2d(Tensor(x), 2).data).all()
+
+
+# ---------------------------------------------------------------------------
+# The chains of single ops that the fused nodes replaced, kept as the
+# reference: a fused node must give their bytes, forward and backward.
+# ---------------------------------------------------------------------------
+
+def _oracle_linear(x, w, b, relu=False):
+    z = x.matmul(w) + b
+    return z.relu() if relu else z
+
+
+def _oracle_mean(t, axis=None, keepdims=False):
+    n = t.data.size if axis is None else t.data.shape[axis]
+    return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def _oracle_sub(a, b):
+    return a + (-b)
+
+
+def _oracle_clamped_log(t):
+    """Tensor.clamp(PROB_EPS, 1.0) and then Tensor.log(), as they were."""
+    mask = (t.data >= PROB_EPS) & (t.data <= 1.0)
+    clamped = Tensor._result(np.clip(t.data, PROB_EPS, 1.0), (t,),
+                             lambda g, a=t: ((a, g * mask),), "clamp")
+    return Tensor._result(np.log(clamped.data), (clamped,),
+                          lambda g, a=clamped: ((a, g / a.data),), "log")
+
+
+def _assert_same_bytes(fused, oracle, arrays, needs_grad):
+    """Both builds from fresh leaves: the forward output and every leaf
+    gradient under one random upstream gradient, byte for byte."""
+    results = []
+    for build in (fused, oracle):
+        leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs_grad)]
+        out = build(*leaves)
+        g = np.random.default_rng(11).standard_normal(out.shape).astype(out.dtype)
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for i, (got, want) in enumerate(zip(*results)):
+        if want is None:
+            assert got is None, f"item {i}"
+            continue
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), f"item {i}"
+        assert got.tobytes() == want.tobytes(), f"item {i}"
+
+
+class TestFusedNodesMatchOracle:
+    # desk MLP layers: (fan_in, fan_out, relu, input needs a gradient)
+    @pytest.mark.parametrize("fan_in,fan_out,relu,x_grad", [
+        (144, 256, True, False),   # first backbone layer, on the images
+        (256, 64, True, True),     # second backbone layer
+        (64, 4, False, True),      # classifier and cluster heads
+        (64, 256, True, True),     # first decoder layer
+        (256, 144, False, True),   # decoder output, before its sigmoid
+    ])
+    def test_linear(self, fan_in, fan_out, relu, x_grad):
+        rng = np.random.default_rng(fan_in * 1000 + fan_out)
+        bound = 1.0 / np.sqrt(fan_in)
+        arrays = [rng.standard_normal((64, fan_in)).astype(np.float32),
+                  rng.uniform(-bound, bound, (fan_in, fan_out)).astype(np.float32),
+                  rng.uniform(-bound, bound, fan_out).astype(np.float32)]
+        _assert_same_bytes(lambda x, w, b: linear(x, w, b, relu=relu),
+                           lambda x, w, b: _oracle_linear(x, w, b, relu=relu),
+                           arrays, (x_grad, True, True))
+
+    @pytest.mark.parametrize("shape", [(64, 4), (64, 12, 12)])
+    @pytest.mark.parametrize("axis", [None, 0, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean(self, shape, axis, keepdims):
+        x = np.random.default_rng(len(shape)).random(shape, dtype=np.float32)
+        _assert_same_bytes(lambda t: t.mean(axis=axis, keepdims=keepdims),
+                           lambda t: _oracle_mean(t, axis=axis, keepdims=keepdims),
+                           [x], (True,))
+
+    @pytest.mark.parametrize("a_shape,b_shape,b_grad", [
+        ((64, 8), (8,), True),              # bias-style broadcasting
+        ((64, 4), (64, 1), True),
+        ((64, 12, 12), (64, 12, 12), False),  # reconstruction error
+    ])
+    def test_sub(self, a_shape, b_shape, b_grad):
+        rng = np.random.default_rng(len(b_shape))
+        arrays = [rng.standard_normal(a_shape).astype(np.float32),
+                  rng.standard_normal(b_shape).astype(np.float32)]
+        _assert_same_bytes(lambda a, b: a - b, _oracle_sub, arrays, (True, b_grad))
+
+    def test_clamped_log_at_and_beyond_bounds(self):
+        lo, hi = np.float32(PROB_EPS), np.float32(1.0)
+        edges = [0.0, 1e-30, 1e-13, np.nextafter(lo, np.float32(0)), lo, np.nextafter(lo, hi),
+                 0.25, np.nextafter(hi, lo), hi, np.nextafter(hi, np.float32(2)), 1.5, 3.0]
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=60).astype(np.float32)
+        x = np.concatenate([np.array(edges, dtype=np.float32).reshape(3, 4), probs])
+        _assert_same_bytes(lambda t: t.clamped_log(), _oracle_clamped_log, [x], (True,))
+
+
+class TestLeanGraph:
+    def test_no_grad_records_nothing_and_is_restored(self):
+        w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                out = w.matmul(w).sum()
+                raise RuntimeError
+        assert (out._parents, out._backward, out.requires_grad) == ((), None, False)
+        assert w.matmul(w).sum()._parents
+
+    def test_eval_passes_build_no_graph(self, monkeypatch):
+        exp = training.build_experiment(_small_config(**{"model.backbone": "conv"}))
+        built = []
+        result = Tensor._result
+
+        def record(*args):
+            built.append(result(*args))
+            return built[-1]
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(record))
+        features = exp.dataset.features[:40]
+        training.predict_classes(exp.models, features)
+        export.compute_embeddings(exp.models, features)
+        export.reconstruction_gallery(exp, num_samples=3)
+        assert len(built) > 20
+        assert all(t._parents == () and t._backward is None and not t.requires_grad for t in built)
+
+    # Nodes built for one training batch, before its optimizer step. The
+    # bootstrap mix needs 0 < alpha < 1 to build both of its cross-entropies.
+    @pytest.mark.parametrize("row,want", [
+        ("CE", {"reshape": 1, "linear": 3, "log_softmax": 1, "multiply": 1, "sum": 1,
+                "mean": 1, "neg": 1}),
+        ("+A+B+C", {"reshape": 3, "linear": 9, "log_softmax": 1, "softmax": 2, "sigmoid": 1,
+                    "sub": 1, "square": 1, "clamped_log": 3, "multiply": 9, "sum": 5,
+                    "mean": 6, "neg": 4, "add": 6}),
+    ])
+    def test_nodes_per_desk_batch(self, monkeypatch, row, want):
+        exp = training.build_experiment(training.ablation_row_config(_small_config(), row))
+        ops = []
+        result = Tensor._result
+
+        def record(*args):
+            ops.append(args[3])
+            return result(*args)
+
+        def stop(lr):
+            raise _FirstStep
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(record))
+        monkeypatch.setattr(exp.optimizer, "step", stop)
+        with pytest.raises(_FirstStep):
+            training.train_epoch(exp, 0)
+        assert dict(Counter(ops)) == want
+        assert len(ops) == {"CE": 9, "+A+B+C": 51}[row]
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def _small_config(**extra):
+    """The desk layout (12x12 images, the MLP, classification on the clean
+    view) at a small size, with the bootstrap mix fixed at alpha 0.5."""
+    cfg = config_mod.default_config()
+    cfg.update({"data.samples": 96, "model.hidden": 16, "model.feature_dim": 8,
+                "losses.classification_view": "clean", "alpha.kind": "constant",
+                "alpha.constant": 0.5, "data.separation": 4.0})
+    cfg.update(extra)
+    return config_mod.validate(cfg)

@@ -99,6 +99,35 @@ def test_train_resume(tmp_path, capsys):
     assert "best_acc=" in capsys.readouterr().out
 
 
+def _run_files(run):
+    return {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_fresh_run_into_existing_run_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    epochs = ["--override", "train.epochs=1"]
+    assert main([command, "--out-dir", str(out)] + TINY + epochs) == EXIT_OK
+    before = _run_files(out)
+    capsys.readouterr()
+    # a second fresh run with another schedule must not replace the first
+    assert main([command, "--out-dir", str(out)] + TINY) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error:" in err and "--resume" in err
+    assert _run_files(out) == before
+
+
+@pytest.mark.parametrize("extra", [["--config", "run.cfg"], ["--override", "train.epochs=100"],
+                                   ["--seed", "5"]], ids=["config", "override", "seed"])
+def test_resume_rejects_config_options(trained_run, capsys, extra):
+    before = _run_files(trained_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--out-dir", str(trained_run), "--resume"] + extra)
+    assert exc.value.code == 2
+    assert extra[0] in capsys.readouterr().err
+    assert _run_files(trained_run) == before
+
+
 @pytest.mark.parametrize("damage", ["halved", "trailing bytes"])
 def test_resume_rejects_damaged_checkpoint(tmp_path, capsys, damage):
     run = tmp_path / "run"
