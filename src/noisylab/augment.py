@@ -291,8 +291,8 @@ def apply_op(op: AugmentOp, x: np.ndarray) -> np.ndarray:
 
 def _apply_pipelines(kinds, seeds, scalars, batch: np.ndarray) -> np.ndarray:
     """Apply op slot ``s`` (``kinds[s, i]``, ``seeds[s, i]``,
-    ``scalars[s, i]``) to ``batch[i]``, slot after slot; returns a new
-    array."""
+    ``scalars[s, i]``) to ``batch[i]``, slot after slot, on one copy of the
+    batch, which is returned; ``batch`` is not mutated."""
     image_shaped = batch.ndim == 3
     if not image_shaped:
         spatial = [ALL_OPS[k] for k in np.unique(kinds) if ALL_OPS[k] in SPATIAL_OPS]
@@ -304,10 +304,10 @@ def _apply_pipelines(kinds, seeds, scalars, batch: np.ndarray) -> np.ndarray:
     else:
         draws = [None] * len(kinds)
     words = words.reshape(kinds.shape + (4,))
-    out = batch
+    out = batch.copy()
     for slot in range(len(kinds)):
-        out = _apply_slot(kinds[slot], scalars[slot], draws[slot], words[slot], out)
-    return out if out is not batch else batch.copy()
+        _apply_slot(kinds[slot], scalars[slot], draws[slot], words[slot], out)
+    return out
 
 
 def _sizes(scalars, shape):
@@ -338,9 +338,9 @@ def _draw_spatial(kinds, scalars, words, shape):
     return out
 
 
-def _apply_slot(kinds, scalars, draws, words, batch: np.ndarray) -> np.ndarray:
-    """Apply op ``kinds[i]`` with parameter ``scalars[i]`` to ``batch[i]``
-    for every row; returns a new array. ``draws[i]`` is what the op drew
+def _apply_slot(kinds, scalars, draws, words, out: np.ndarray) -> None:
+    """Apply op ``kinds[i]`` with parameter ``scalars[i]`` to ``out[i]``
+    for every row, in place. ``draws[i]`` is what the op drew
     (``_draw_spatial``; None for flat input) and ``words[i]`` the PCG64
     seed words of its seed.
 
@@ -349,42 +349,41 @@ def _apply_slot(kinds, scalars, draws, words, batch: np.ndarray) -> np.ndarray:
     write per-row slices. Image rows are clipped once at the end, so every
     row gets the same float operations as when it is augmented alone.
     """
-    image_shaped = batch.ndim == 3
-    out = batch.copy()
-    per_row = (-1,) + (1,) * (batch.ndim - 1)
+    image_shaped = out.ndim == 3
+    per_row = (-1,) + (1,) * (out.ndim - 1)
 
     for kind in np.bincount(kinds, minlength=len(ALL_OPS)).nonzero()[0]:
         rows = (kinds == kind).nonzero()[0]
         if kind == _CUTOUT:
-            sizes = _sizes(scalars[rows], batch.shape[1:]).tolist()
+            sizes = _sizes(scalars[rows], out.shape[1:]).tolist()
             for r, (top, left), (side_h, side_w) in zip(rows.tolist(), draws[rows].tolist(), sizes):
                 out[r, top : top + side_h, left : left + side_w] = CUTOUT_FILL
         elif kind == _NOISE:
             rows = rows[scalars[rows] > 0]
             if rows.size:
-                noise = [_generator(words[r]).normal(0.0, scalars[r], size=batch.shape[1:]) for r in rows]
-                out[rows] = out[rows] + np.array(noise, dtype=batch.dtype)
+                noise = [_generator(words[r]).normal(0.0, scalars[r], size=out.shape[1:]) for r in rows]
+                out[rows] = out[rows] + np.array(noise, dtype=out.dtype)
         elif kind == _BRIGHTNESS:
-            out[rows] = out[rows] + scalars[rows].astype(batch.dtype).reshape(per_row)
+            out[rows] = out[rows] + scalars[rows].astype(out.dtype).reshape(per_row)
         elif kind == _CONTRAST:
             rows = rows[scalars[rows] != 1.0]
             center = 0.5 if image_shaped else 0.0
-            out[rows] = center + scalars[rows].astype(batch.dtype).reshape(per_row) * (out[rows] - center)
+            out[rows] = center + scalars[rows].astype(out.dtype).reshape(per_row) * (out[rows] - center)
         elif kind == _TRANSLATE:
-            _, h, w = batch.shape
+            _, h, w = out.shape
             for r, (dy, dx) in zip(rows.tolist(), draws[rows].tolist()):
                 if dy or dx:
                     ys, yd = _shift_slices(h, dy)
                     xs, xd = _shift_slices(w, dx)
+                    window = out[r, ys, xs].copy()
                     out[r] = TRANSLATE_FILL
-                    out[r, yd, xd] = batch[r, ys, xs]
+                    out[r, yd, xd] = window
         else:  # horizontal-flip
             rows = rows[draws[rows, 0] == 1]
             out[rows] = out[rows, :, ::-1]
 
     if image_shaped:
         np.clip(out, 0.0, 1.0, out=out)
-    return out
 
 
 def _shift_slices(size, delta):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,22 @@ class TestApplyAndBatch:
         batch = np.stack([_image(i) for i in range(8)])
         out = augment_batch(policy, batch, 1, 0, np.arange(8))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_epoch_call_copies_batch_once(self):
+        """An epoch's call (the 1,500 desk train rows) copies the batch once
+        and applies every op slot in place: besides the output, its peak
+        holds per-kind row groups, not one epoch-sized array per slot."""
+        batch = np.random.default_rng(0).uniform(0.0, 1.0, (1500, 12, 12)).astype(np.float32)
+        idx = np.arange(len(batch))
+        augment_batch(AugmentPolicy(), batch, 3, 0, idx)  # warm the caches
+        tracemalloc.start()
+        try:
+            augment_batch(AugmentPolicy(), batch, 3, 1, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~2.2x the batch here; a new array per slot made it ~3.2x
+        assert peak < 2.5 * batch.nbytes, peak / batch.nbytes
 
 
 def _oracle_derive_seed(*parts):

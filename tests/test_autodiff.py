@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noisylab import config as config_mod
+from noisylab import autodiff, config as config_mod
 from noisylab import export, training
 from noisylab.autodiff import (
     PROB_EPS,
@@ -185,6 +185,9 @@ OPERATOR_CASES = [
     ("conv_transpose2d_overlap",
      lambda t, aux: conv_transpose2d(t, Tensor(aux), stride=2, padding=1).square().sum(), (2, 2, 3, 3)),
     ("conv_transpose2d_stride1", lambda t, aux: conv_transpose2d(t, Tensor(aux)).square().sum(), (2, 2, 3, 3)),
+    # a conv with at most a quarter as many output as input channels
+    ("conv2d_narrow", lambda t, aux: conv2d(t, Tensor(aux), padding=1).square().sum(), (2, 4, 5, 5)),
+    ("conv2d_narrow_w", lambda t, aux: conv2d(Tensor(aux), t, padding=2).square().sum(), (1, 4, 3, 3)),
 ]
 
 
@@ -202,6 +205,8 @@ def test_operator_gradients_match_finite_differences(name, fn, shape):
         "conv2d_1x1": (3, 2, 1, 1),
         "conv_transpose2d_overlap": (2, 3, 3, 3),
         "conv_transpose2d_stride1": (2, 3, 2, 2),
+        "conv2d_narrow": (1, 4, 3, 3),
+        "conv2d_narrow_w": (2, 4, 4, 5),
     }.get(name, (3, 4))
     for trial in range(20):
         point = t64(rng.standard_normal(shape))
@@ -223,6 +228,38 @@ def _oracle_im2col(x, kh, kw, stride, pad):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+
+
+# (N, C, H, W) inputs: the desk layers' and non-square ones
+GATHER_INPUTS = [(2, 1, 12, 12), (2, 8, 6, 6), (2, 16, 3, 3), (2, 8, 12, 12), (2, 1, 16, 16),
+                 (1, 2, 5, 7), (1, 3, 7, 4), (1, 1, 2, 9)]
+
+
+class TestGatherIndex:
+    @pytest.mark.parametrize("shape", GATHER_INPUTS, ids=str)
+    def test_in_range_and_im2col_matches_oracle(self, shape):
+        """_im2col gathers with mode="wrap", which would silently wrap an
+        out-of-range index: every index must lie in [0, hp*wp)."""
+        n, c, h, w = shape
+        x = np.random.default_rng(zlib.crc32(repr(shape).encode())).standard_normal(shape).astype(np.float32)
+        checked = 0
+        for k in (2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1, 2):
+                    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+                    if ho < 1 or wo < 1:
+                        continue
+                    hp, wp = h + 2 * pad, w + 2 * pad
+                    idx = autodiff._gather_index(hp, wp, k, k, stride, ho, wo)
+                    assert idx.shape == (k * k, ho * wo)
+                    assert idx.min() >= 0 and idx.max() < hp * wp, (k, stride, pad)
+                    cols, got_ho, got_wo = autodiff._im2col(x, k, k, stride, pad)
+                    want, _, _ = _oracle_im2col(x, k, k, stride, pad)
+                    assert (got_ho, got_wo) == (ho, wo)
+                    assert cols.dtype == want.dtype and cols.shape == want.shape
+                    assert cols.tobytes() == want.tobytes(), (k, stride, pad)
+                    checked += 1
+        assert checked >= 6
 
 
 def _oracle_col2im(cols, xshape, kh, kw, stride, pad):
@@ -318,10 +355,25 @@ DESK_CONV_LAYERS = [
 ]
 
 
+# Convs the model zoo does not run, around the channel rule: 8->2 is the
+# widest output that still takes the kn2row form, 8->3 the narrowest that
+# does not; padding 0 and 2 clip the shifted taps differently from 1.
+NARROW_CONV_LAYERS = [
+    ("conv2d", 8, 2, 3, 12, 1, 1),
+    ("conv2d", 8, 3, 3, 12, 1, 1),
+    ("conv2d", 16, 1, 3, 6, 1, 1),
+    ("conv2d", 4, 1, 3, 12, 1, 0),
+    ("conv2d", 4, 1, 3, 12, 1, 2),
+]
+
+
+def _layer_id(layer):
+    return f"{layer[0]}-{layer[1]}to{layer[2]}-{layer[4]}px-pad{layer[6]}"
+
+
 class TestKernelsMatchOracle:
-    @pytest.mark.parametrize("batch", [64, 256])
-    @pytest.mark.parametrize("layer", DESK_CONV_LAYERS, ids=lambda l: f"{l[0]}-{l[1]}to{l[2]}-{l[4]}px")
-    def test_desk_conv_layers(self, layer, batch):
+    @staticmethod
+    def _check_layer(layer, batch):
         kind, cin, cout, k, size, stride, padding = layer
         rng = np.random.default_rng(zlib.crc32(repr(layer).encode()) + batch)
         x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
@@ -336,6 +388,7 @@ class TestKernelsMatchOracle:
         want_out, want_grads = oracle(x, w, b, stride=stride, padding=padding)
         want_dx, want_dw, want_db = want_grads(g)
         assert out.dtype == dw.dtype == db.dtype == np.float32
+        assert (out.shape, dw.shape) == (want_out.shape, want_dw.shape)
         _assert_float32_close(out, want_out)
         _assert_float32_close(dw, want_dw)
         _assert_float32_close(db, want_db)
@@ -344,6 +397,26 @@ class TestKernelsMatchOracle:
             _assert_float32_close(dx, want_dx)
         else:
             assert dx is None
+
+    @pytest.mark.parametrize("batch", [64, 256])
+    @pytest.mark.parametrize("layer", DESK_CONV_LAYERS, ids=lambda l: f"{l[0]}-{l[1]}to{l[2]}-{l[4]}px")
+    def test_desk_conv_layers(self, layer, batch):
+        self._check_layer(layer, batch)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("layer", NARROW_CONV_LAYERS, ids=_layer_id)
+    def test_conv_layers_around_channel_rule(self, layer, batch):
+        self._check_layer(layer, batch)
+
+    @pytest.mark.parametrize("cin,cout,unfolds", [(8, 1, False), (8, 2, False), (16, 4, False),
+                                                  (8, 3, True), (16, 8, True), (1, 8, True)])
+    def test_channel_rule_picks_form(self, monkeypatch, cin, cout, unfolds):
+        calls = []
+        im2col = autodiff._im2col
+        monkeypatch.setattr(autodiff, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        conv2d(Tensor(np.ones((2, cin, 6, 6), np.float32)), Tensor(np.ones((cout, cin, 3, 3), np.float32)),
+               padding=1)
+        assert bool(calls) == unfolds
 
     @pytest.mark.parametrize("shape", [(64, 8, 12, 12), (256, 16, 6, 6), (3, 2, 4, 6)])
     @pytest.mark.parametrize("zeros", ["negative", "both signs"])

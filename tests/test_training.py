@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import json
 import os
 import struct
@@ -297,6 +299,17 @@ def _fail_second_last_ckpt_write(monkeypatch):
     monkeypatch.setattr(data_mod, "open", failing_open, raising=False)
 
 
+@contextlib.contextmanager
+def _held_lock(path, content):
+    """Hold an exclusive flock on ``path`` through an open() of its own,
+    which conflicts with any other open() of the file, in this process too."""
+    with open(path, "w") as fh:
+        fh.write(content)
+        fh.flush()
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
 class TestRunExperiment:
     def test_run_dir_layout(self, tmp_path):
         cfg = tiny_config()
@@ -316,18 +329,34 @@ class TestRunExperiment:
     def test_lock_blocks_second_run(self, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
-        (run / ".lock").write_text(str(os.getpid()))
-        with pytest.raises(RunLockError):
-            run_experiment(tiny_config(), run)
+        with _held_lock(run / ".lock", str(os.getpid())):
+            with pytest.raises(RunLockError):
+                run_experiment(tiny_config(), run)
+            assert not (run / "config.txt").exists()
 
     @pytest.mark.parametrize("content", ["", "not a pid", "0"])
     def test_unreadable_lock_blocks(self, tmp_path, content):
+        # what a held lock's file says does not matter
+        run = tmp_path / "run"
+        run.mkdir()
+        with _held_lock(run / ".lock", content):
+            with pytest.raises(RunLockError):
+                run_experiment(tiny_config(), run)
+            assert (run / ".lock").read_text() == content
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "0", str(os.getpid())])
+    def test_unheld_lock_file_does_not_block(self, tmp_path, content):
+        # a crash leaves .lock behind, but the kernel released its lock
         run = tmp_path / "run"
         run.mkdir()
         (run / ".lock").write_text(content)
-        with pytest.raises(RunLockError):
-            run_experiment(tiny_config(), run)
-        assert (run / ".lock").read_text() == content
+        assert run_experiment(tiny_config(), run)["finished"]
+        assert not (run / ".lock").exists()
+
+    def test_lock_file_names_holder_only(self, tmp_path):
+        (tmp_path / ".lock").write_text("9" * 12)  # longer than any PID here
+        with training_mod._RunLock(tmp_path):
+            assert (tmp_path / ".lock").read_text() == str(os.getpid())
 
     def test_lock_of_dead_process_taken_over(self, tmp_path):
         child = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -337,6 +366,33 @@ class TestRunExperiment:
         (run / ".lock").write_text(str(child.pid))
         assert run_experiment(tiny_config(), run)["finished"]
         assert not (run / ".lock").exists()
+
+    def test_lock_of_unlinked_file_is_retaken(self, tmp_path, monkeypatch):
+        # A holder that releases unlinks .lock and then unlocks. A process
+        # that opened the old file meanwhile gets a lock on a file no
+        # longer at the path, and must lock the path's file instead.
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / ".lock"
+        flock, calls = training_mod.fcntl.flock, []
+
+        def racing_flock(fd, op):
+            calls.append(fd)
+            if len(calls) == 1:
+                path.unlink()
+                path.write_text("")
+            return flock(fd, op)
+
+        monkeypatch.setattr(training_mod.fcntl, "flock", racing_flock)
+        with training_mod._RunLock(run) as lock:
+            monkeypatch.undo()
+            assert len(calls) == 2
+            assert os.path.samestat(os.fstat(lock.fd), os.stat(path))
+            assert path.read_text() == str(os.getpid())
+            with pytest.raises(RunLockError):
+                with training_mod._RunLock(run):
+                    pass
+        assert not path.exists()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 4})
