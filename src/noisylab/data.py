@@ -242,8 +242,9 @@ def empirical_transition_matrix(ds: LabeledDataset):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def write_arrays(path, arrays: dict, meta: dict) -> None:
-    """Write named arrays and a JSON-serializable ``meta`` dict to ``path``.
+def write_arrays(paths, arrays: dict, meta: dict) -> None:
+    """Write named arrays and a JSON-serializable ``meta`` dict to each of
+    ``paths`` in order, serializing them once.
 
     Layout: MAGIC, u16 FORMAT_VERSION, u32 length of a JSON block holding
     ``meta`` and each array's name, dtype and shape, then each array's
@@ -256,13 +257,13 @@ def write_arrays(path, arrays: dict, meta: dict) -> None:
         if dtype.str not in _DTYPES:
             raise DatasetFileError(f"unsupported dtype {arr.dtype} for array {name!r}")
         layout.append([name, dtype.str, list(arr.shape)])
-        payload.append(arr.astype(dtype, copy=False))
+        payload.append(np.ascontiguousarray(arr.astype(dtype, copy=False)))
     block = json.dumps({"meta": meta, "arrays": layout}).encode()
-    with replacing(path) as fh:
-        fh.write(MAGIC + FORMAT_VERSION.to_bytes(2, "little") + len(block).to_bytes(4, "little"))
-        fh.write(block)
-        for arr in payload:
-            fh.write(arr.tobytes())
+    head = MAGIC + FORMAT_VERSION.to_bytes(2, "little") + len(block).to_bytes(4, "little")
+    for path in paths:
+        with replacing(path) as fh:
+            for chunk in (head, block, *payload):
+                fh.write(chunk)
 
 
 @contextmanager
@@ -285,22 +286,24 @@ def read_arrays(path):
     """Parse a file written by ``write_arrays``; returns ``(arrays, meta)``.
 
     Only whitelisted dtypes are read, every length is checked against the
-    file, and the last array must end exactly at end of file.
+    file, and the last array must end exactly at end of file. The arrays are
+    writable views into one buffer holding the file, not copies, so they may
+    be unaligned.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER_BYTES:
+    blob = np.fromfile(path, np.uint8)
+    header = blob[:_HEADER_BYTES].tobytes()
+    if len(header) < _HEADER_BYTES:
         raise CorruptHeaderError(f"{path}: truncated header")
-    if blob[:4] != MAGIC:
-        raise CorruptHeaderError(f"{path}: bad magic bytes {blob[:4]!r}")
-    version = int.from_bytes(blob[4:6], "little")
+    if header[:4] != MAGIC:
+        raise CorruptHeaderError(f"{path}: bad magic bytes {header[:4]!r}")
+    version = int.from_bytes(header[4:6], "little")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    offset = _HEADER_BYTES + int.from_bytes(blob[6:10], "little")
+    offset = _HEADER_BYTES + int.from_bytes(header[6:10], "little")
     if offset > len(blob):
         raise CorruptHeaderError(f"{path}: truncated JSON block")
     try:
-        head = json.loads(blob[_HEADER_BYTES:offset])
+        head = json.loads(blob[_HEADER_BYTES:offset].tobytes())
         meta = dict(head["meta"])
         specs = [(name, dtype, tuple(shape)) for name, dtype, shape in head["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
@@ -314,7 +317,7 @@ def read_arrays(path):
         end = offset + count * np.dtype(dtype).itemsize
         if end > len(blob):
             raise PayloadShapeError(f"{path}: array {name!r} runs past the end of the file")
-        arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
         offset = end
     if offset != len(blob):
         raise PayloadShapeError(f"{path}: {len(blob) - offset} bytes after the last array")
@@ -323,14 +326,14 @@ def read_arrays(path):
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     arrays = {name: getattr(ds, name) for name in _DATASET_DTYPES}
-    write_arrays(path, arrays, {"num_classes": int(ds.num_classes)})
+    write_arrays([path], arrays, {"num_classes": int(ds.num_classes)})
 
 
 def load_dataset(path) -> LabeledDataset:
     arrays, meta = read_arrays(path)
     try:
-        fields = {name: arrays[name].astype(dtype, copy=False)
-                  for name, dtype in _DATASET_DTYPES.items()}
+        # astype copies: the dataset owns aligned arrays, not views of the file
+        fields = {name: arrays[name].astype(dtype) for name, dtype in _DATASET_DTYPES.items()}
         num_classes = meta["num_classes"]
     except KeyError as exc:
         raise CorruptHeaderError(f"{path}: not a dataset file, {exc} is missing") from None

@@ -17,7 +17,7 @@ from . import config as config_mod
 from .augment import AugmentPolicy, augment_batch
 from .autodiff import Tensor, no_grad
 from .data import LabeledDataset, load_dataset, replacing
-from .training import CheckpointError, _load_ckpt_state, build_experiment, load_checkpoint
+from .training import CheckpointError, build_experiment, load_checkpoint
 
 
 class HashMismatchError(CheckpointError):
@@ -25,23 +25,21 @@ class HashMismatchError(CheckpointError):
 
 
 def load_run_models(run_dir, checkpoint: str = "best"):
-    """Rebuild the model set of a run and load one of its checkpoints.
+    """Rebuild the model set of a run from one of its checkpoints, drawing
+    no init.
 
     Returns ``(experiment, checkpoint_meta)``. Raises HashMismatchError if
     the checkpoint's config hash does not match the run's config.
     """
     run_dir = Path(run_dir)
     cfg = config_mod.load(run_dir / "config.txt")
-    dataset = load_dataset(run_dir / "dataset.bin")
-    exp = build_experiment(cfg, dataset)
     arrays, meta = load_checkpoint(run_dir / "checkpoints" / f"{checkpoint}.ckpt")
     expected = config_mod.config_hash(cfg)
     if meta["config_hash"] != expected:
         raise HashMismatchError(
             f"checkpoint hash {meta['config_hash'][:12]} != config hash {expected[:12]}"
         )
-    _load_ckpt_state(exp, arrays)
-    return exp, meta
+    return build_experiment(cfg, load_dataset(run_dir / "dataset.bin"), arrays), meta
 
 
 def compute_embeddings(models, features: np.ndarray, batch_size: int = 256):

@@ -14,31 +14,26 @@ import numpy as np
 from .autodiff import Tensor, conv2d, conv_transpose2d, linear, max_pool2d
 
 
-def _linear_init(rng, fan_in, fan_out, dtype):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype), requires_grad=True)
-    b = Tensor(rng.uniform(-bound, bound, size=(fan_out,)).astype(dtype), requires_grad=True)
-    return w, b
-
-
-def _conv_init(rng, c_in, c_out, k, dtype, transposed=False):
-    fan_in = c_in * k * k
-    bound = 1.0 / np.sqrt(fan_in)
-    shape = (c_in, c_out, k, k) if transposed else (c_out, c_in, k, k)
-    w = Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
-    b = Tensor(rng.uniform(-bound, bound, size=(c_out,)).astype(dtype), requires_grad=True)
-    return w, b
-
-
 class Module:
-    """Tiny base: named parameter registry."""
+    """Tiny base: named parameters. Each is declared with its shape and init
+    bound into ``specs``, a list the modules of one ``ModelSet`` share, which
+    gives every parameter its memory and draws it."""
 
-    def __init__(self):
+    def __init__(self, specs: list):
         self._params = {}
+        self._specs = specs
 
-    def _register(self, name, tensor):
-        self._params[name] = tensor
+    def _param(self, name, shape, fan_in):
+        tensor = self._params[name] = Tensor(np.empty(shape, np.float32), requires_grad=True)
+        self._specs.append((tensor, 1.0 / np.sqrt(fan_in)))
         return tensor
+
+    def _linear(self, w, b, fan_in, fan_out):
+        return self._param(w, (fan_in, fan_out), fan_in), self._param(b, (fan_out,), fan_in)
+
+    def _conv(self, w, b, c_in, c_out, k, transposed=False):
+        shape = (c_in, c_out, k, k) if transposed else (c_out, c_in, k, k)
+        return self._param(w, shape, c_in * k * k), self._param(b, (c_out,), c_in * k * k)
 
     def parameters(self) -> dict:
         return dict(self._params)
@@ -47,15 +42,13 @@ class Module:
 class MlpBackbone(Module):
     """flatten -> linear -> relu -> linear -> relu, features of dim d."""
 
-    def __init__(self, input_shape, hidden: int, feature_dim: int, rng, dtype=np.float32):
-        super().__init__()
+    def __init__(self, input_shape, hidden: int, feature_dim: int, specs: list):
+        super().__init__(specs)
         self.input_shape = tuple(input_shape)
         self.feature_dim = feature_dim
         in_dim = int(np.prod(self.input_shape))
-        w1, b1 = _linear_init(rng, in_dim, hidden, dtype)
-        w2, b2 = _linear_init(rng, hidden, feature_dim, dtype)
-        self.w1, self.b1 = self._register("w1", w1), self._register("b1", b1)
-        self.w2, self.b2 = self._register("w2", w2), self._register("b2", b2)
+        self.w1, self.b1 = self._linear("w1", "b1", in_dim, hidden)
+        self.w2, self.b2 = self._linear("w2", "b2", hidden, feature_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         flat = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
@@ -66,8 +59,8 @@ class MlpBackbone(Module):
 class ConvBackbone(Module):
     """Three conv blocks with pooling, then a linear projection to d."""
 
-    def __init__(self, input_shape, feature_dim: int, rng, dtype=np.float32, channels=(8, 16, 32)):
-        super().__init__()
+    def __init__(self, input_shape, feature_dim: int, specs: list, channels=(8, 16, 32)):
+        super().__init__(specs)
         if len(input_shape) != 2:
             raise ValueError(f"conv backbone needs (H, W) input, got {input_shape}")
         h, w = input_shape
@@ -77,12 +70,10 @@ class ConvBackbone(Module):
         self.feature_dim = feature_dim
         self.channels = channels
         c1, c2, c3 = channels
-        self.cw1, self.cb1 = (self._register(n, t) for n, t in zip(("cw1", "cb1"), _conv_init(rng, 1, c1, 3, dtype)))
-        self.cw2, self.cb2 = (self._register(n, t) for n, t in zip(("cw2", "cb2"), _conv_init(rng, c1, c2, 3, dtype)))
-        self.cw3, self.cb3 = (self._register(n, t) for n, t in zip(("cw3", "cb3"), _conv_init(rng, c2, c3, 3, dtype)))
-        flat_dim = c3 * (h // 4) * (w // 4)
-        w1, b1 = _linear_init(rng, flat_dim, feature_dim, dtype)
-        self.fw, self.fb = self._register("fw", w1), self._register("fb", b1)
+        self.cw1, self.cb1 = self._conv("cw1", "cb1", 1, c1, 3)
+        self.cw2, self.cb2 = self._conv("cw2", "cb2", c1, c2, 3)
+        self.cw3, self.cb3 = self._conv("cw3", "cb3", c2, c3, 3)
+        self.fw, self.fb = self._linear("fw", "fb", c3 * (h // 4) * (w // 4), feature_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         n = x.shape[0]
@@ -96,11 +87,10 @@ class ConvBackbone(Module):
 class SoftmaxHead(Module):
     """Linear layer followed by softmax; used for classes and clusters."""
 
-    def __init__(self, feature_dim: int, num_outputs: int, rng, dtype=np.float32):
-        super().__init__()
+    def __init__(self, feature_dim: int, num_outputs: int, specs: list):
+        super().__init__(specs)
         self.num_outputs = num_outputs
-        w, b = _linear_init(rng, feature_dim, num_outputs, dtype)
-        self.w, self.b = self._register("w", w), self._register("b", b)
+        self.w, self.b = self._linear("w", "b", feature_dim, num_outputs)
 
     def logits(self, features: Tensor) -> Tensor:
         return linear(features, self.w, self.b)
@@ -115,14 +105,11 @@ class SoftmaxHead(Module):
 class MlpDecoder(Module):
     """linear -> relu -> linear -> sigmoid, reshaped to the input shape."""
 
-    def __init__(self, feature_dim: int, output_shape, hidden: int, rng, dtype=np.float32):
-        super().__init__()
+    def __init__(self, feature_dim: int, output_shape, hidden: int, specs: list):
+        super().__init__(specs)
         self.output_shape = tuple(output_shape)
-        out_dim = int(np.prod(self.output_shape))
-        w1, b1 = _linear_init(rng, feature_dim, hidden, dtype)
-        w2, b2 = _linear_init(rng, hidden, out_dim, dtype)
-        self.w1, self.b1 = self._register("w1", w1), self._register("b1", b1)
-        self.w2, self.b2 = self._register("w2", w2), self._register("b2", b2)
+        self.w1, self.b1 = self._linear("w1", "b1", feature_dim, hidden)
+        self.w2, self.b2 = self._linear("w2", "b2", hidden, int(np.prod(self.output_shape)))
 
     def __call__(self, features: Tensor) -> Tensor:
         h = linear(features, self.w1, self.b1, relu=True)
@@ -134,8 +121,8 @@ class ConvDecoder(Module):
     """Linear lift to a small spatial map, two transposed-conv upsamplings,
     then a 1-channel sigmoid projection."""
 
-    def __init__(self, feature_dim: int, output_shape, rng, dtype=np.float32, channels=(16, 8)):
-        super().__init__()
+    def __init__(self, feature_dim: int, output_shape, specs: list, channels=(16, 8)):
+        super().__init__(specs)
         h, w = output_shape
         if h % 4 or w % 4:
             raise ValueError("conv decoder needs spatial dims divisible by 4")
@@ -143,11 +130,10 @@ class ConvDecoder(Module):
         c1, c2 = channels
         self.c1 = c1
         self.base = (h // 4, w // 4)
-        w1, b1 = _linear_init(rng, feature_dim, c1 * (h // 4) * (w // 4), dtype)
-        self.fw, self.fb = self._register("fw", w1), self._register("fb", b1)
-        self.tw1, self.tb1 = (self._register(n, t) for n, t in zip(("tw1", "tb1"), _conv_init(rng, c1, c2, 2, dtype, transposed=True)))
-        self.tw2, self.tb2 = (self._register(n, t) for n, t in zip(("tw2", "tb2"), _conv_init(rng, c2, c2, 2, dtype, transposed=True)))
-        self.pw, self.pb = (self._register(n, t) for n, t in zip(("pw", "pb"), _conv_init(rng, c2, 1, 3, dtype)))
+        self.fw, self.fb = self._linear("fw", "fb", feature_dim, c1 * (h // 4) * (w // 4))
+        self.tw1, self.tb1 = self._conv("tw1", "tb1", c1, c2, 2, transposed=True)
+        self.tw2, self.tb2 = self._conv("tw2", "tb2", c2, c2, 2, transposed=True)
+        self.pw, self.pb = self._conv("pw", "pb", c2, 1, 3)
 
     def __call__(self, features: Tensor) -> Tensor:
         n = features.shape[0]
@@ -160,28 +146,43 @@ class ConvDecoder(Module):
 
 
 class ModelSet:
-    """The four trainable functions, built from one init seed."""
+    """The four trainable functions. Every parameter is a view into one flat
+    float32 buffer, ``flat``, laid out in ``parameters()`` order. Given an
+    ``init_seed``, each parameter is drawn from it in that order; with None
+    nothing is drawn and ``flat`` waits for a checkpoint to fill it."""
 
-    def __init__(self, input_shape, num_classes, num_clusters, feature_dim, hidden, backbone_kind, init_seed, dtype=np.float32):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(init_seed), 0xB0DE))))
+    def __init__(self, input_shape, num_classes, num_clusters, feature_dim, hidden, backbone_kind, init_seed):
+        specs = []
         input_shape = tuple(input_shape)
         if backbone_kind == "mlp":
-            self.backbone = MlpBackbone(input_shape, hidden, feature_dim, rng, dtype)
-            self.decoder = MlpDecoder(feature_dim, input_shape, hidden, rng, dtype)
+            self.backbone = MlpBackbone(input_shape, hidden, feature_dim, specs)
+            self.decoder = MlpDecoder(feature_dim, input_shape, hidden, specs)
         elif backbone_kind == "conv":
-            self.backbone = ConvBackbone(input_shape, feature_dim, rng, dtype)
-            self.decoder = ConvDecoder(feature_dim, input_shape, rng, dtype)
+            self.backbone = ConvBackbone(input_shape, feature_dim, specs)
+            self.decoder = ConvDecoder(feature_dim, input_shape, specs)
         else:
             raise ValueError(f"unknown backbone kind: {backbone_kind!r}")
-        self.classifier = SoftmaxHead(feature_dim, num_classes, rng, dtype)
-        self.cluster_head = SoftmaxHead(feature_dim, num_clusters, rng, dtype)
+        self.classifier = SoftmaxHead(feature_dim, num_classes, specs)
+        self.cluster_head = SoftmaxHead(feature_dim, num_clusters, specs)
+        self.flat = np.empty(sum(t.data.size for t, _ in specs), np.float32)
+        rng = None if init_seed is None else np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((int(init_seed), 0xB0DE))))
+        lo = 0
+        for tensor, bound in specs:
+            view = self.flat[lo : lo + tensor.data.size].reshape(tensor.data.shape)
+            lo += view.size
+            if rng is not None:
+                view[...] = rng.uniform(-bound, bound, size=view.shape)
+            tensor.data = view
 
     def named_modules(self):
+        """In construction order, which is the order of ``flat`` and of the
+        init draw."""
         return {
             "backbone": self.backbone,
+            "decoder": self.decoder,
             "classifier": self.classifier,
             "cluster": self.cluster_head,
-            "decoder": self.decoder,
         }
 
     def parameters(self) -> dict:
@@ -197,17 +198,3 @@ class ModelSet:
 
     def state_arrays(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}
-
-    def load_state_arrays(self, arrays: dict):
-        """Copy ``arrays`` into the parameter arrays once every name and shape matches."""
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, p in params.items():
-            if p.data.shape != arrays[name].shape:
-                raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arrays[name].shape}")
-        for name, p in params.items():
-            p.data[...] = arrays[name]
-

@@ -83,26 +83,25 @@ class SgdOptimizer:
     v <- momentum * v + grad + weight_decay * param
     param <- param - lr * v
 
-    Every ``params[name].data`` and ``velocities[name]`` is a view into one
-    flat buffer, so a step is a few array operations over all parameters.
-    Load values by copying into these views, never by rebinding them.
+    Every ``params[name].data`` is a view into ``flat``, the parameters laid
+    out one after another in dict order, as ``ModelSet.flat`` is. Each
+    ``velocities[name]`` is the matching view into one velocity buffer, so a
+    step is a few array operations over all parameters.
     """
 
-    def __init__(self, params: dict, momentum: float = 0.9, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, flat: np.ndarray, momentum: float = 0.9, weight_decay: float = 1e-4):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._flat = np.concatenate([p.data for p in params.values()], axis=None)
-        self._velocity = np.zeros(self._flat.size, self._flat.dtype)
-        self._grad = np.empty_like(self._flat)
-        self._zero = np.zeros(max(p.data.size for p in params.values()), self._flat.dtype)
+        self._flat = flat
+        self._velocity = np.zeros_like(flat)
+        self._grad = np.empty_like(flat)
+        self._zero = np.zeros(max(p.data.size for p in params.values()), flat.dtype)
         self.velocities = {}
         lo = 0
         for name, p in params.items():
-            hi = lo + p.data.size
-            p.data = self._flat[lo:hi].reshape(p.data.shape)
-            self.velocities[name] = self._velocity[lo:hi].reshape(p.data.shape)
-            lo = hi
+            self.velocities[name] = self._velocity[lo : lo + p.data.size].reshape(p.data.shape)
+            lo += p.data.size
 
     def step(self, lr: float):
         if lr < 0:
@@ -139,10 +138,11 @@ class CheckpointError(IOError):
     pass
 
 
-def save_checkpoint(path, arrays: dict, config_hash: str, epoch: int, best_acc: float, best_epoch: int) -> None:
+def save_checkpoint(paths, arrays: dict, config_hash: str, epoch: int, best_acc: float, best_epoch: int) -> None:
+    """Write one checkpoint, serialized once, to each of ``paths`` in order."""
     meta = {"config_hash": config_hash, "epoch": int(epoch),
             "best_acc": float(best_acc), "best_epoch": int(best_epoch)}
-    write_arrays(path, {name: arrays[name] for name in sorted(arrays)}, meta)
+    write_arrays(paths, {name: arrays[name] for name in sorted(arrays)}, meta)
 
 
 def load_checkpoint(path):
@@ -203,7 +203,12 @@ def build_schedule(cfg: dict) -> AlphaSchedule:
     return AlphaSchedule(kind=cfg["alpha.kind"], start_epoch=start, end_epoch=end)
 
 
-def build_experiment(cfg: dict, dataset: LabeledDataset | None = None) -> Experiment:
+def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
+                     checkpoint: dict | None = None) -> Experiment:
+    """Wire a config into an experiment. The parameters are drawn from
+    ``seeds.init``; given a checkpoint's arrays, the parameters and velocities
+    are copied from them instead and nothing is drawn. A checkpoint whose
+    names or shapes do not fit the model raises CheckpointError."""
     cfg = config_mod.validate(dict(cfg))
     ds = dataset if dataset is not None else build_dataset(cfg)
     train_idx, val_idx = split_indices(cfg, len(ds))
@@ -215,18 +220,31 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None) -> Experi
         feature_dim=cfg["model.feature_dim"],
         hidden=cfg["model.hidden"],
         backbone_kind=cfg["model.backbone"],
-        init_seed=cfg["seeds.init"],
+        init_seed=cfg["seeds.init"] if checkpoint is None else None,
     )
-    optimizer = SgdOptimizer(models.parameters(), cfg["optim.momentum"], cfg["optim.weight_decay"])
+    optimizer = SgdOptimizer(models.parameters(), models.flat, cfg["optim.momentum"], cfg["optim.weight_decay"])
     policy = AugmentPolicy(op_pool=tuple(cfg["augment.ops"]),
                            num_ops=cfg["augment.num_ops"],
                            magnitude=cfg["augment.magnitude"])
     switches = LossSwitches(bootstrap=cfg["losses.A"],
                             reconstruction=cfg["losses.B"],
                             cluster=cfg["losses.C"])
-    return Experiment(cfg=cfg, dataset=ds, train_idx=train_idx, val_idx=val_idx,
-                      models=models, optimizer=optimizer, policy=policy,
-                      switches=switches, schedule=build_schedule(cfg))
+    exp = Experiment(cfg=cfg, dataset=ds, train_idx=train_idx, val_idx=val_idx,
+                     models=models, optimizer=optimizer, policy=policy,
+                     switches=switches, schedule=build_schedule(cfg))
+    if checkpoint is not None:
+        state = _ckpt_state(exp)
+        missing, extra = state.keys() - checkpoint.keys(), checkpoint.keys() - state.keys()
+        if missing or extra:
+            raise CheckpointError(f"checkpoint does not fit the model: missing={sorted(missing)}, "
+                                  f"extra={sorted(extra)}")
+        for name, a in state.items():
+            if a.shape != checkpoint[name].shape:
+                raise CheckpointError(f"checkpoint array {name!r} has shape "
+                                      f"{checkpoint[name].shape}, expected {a.shape}")
+        for name, a in state.items():
+            a[...] = checkpoint[name]
+    return exp
 
 
 def _onehot(labels, num_classes, dtype=np.float32):
@@ -491,8 +509,7 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             if meta["epoch"] == cfg["train.epochs"] and summary_path.exists():
                 return json.loads(summary_path.read_text())
             record = _trim_metrics(metrics_path, meta["epoch"])
-            exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"))
-            _load_ckpt_state(exp, arrays)
+            exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"), arrays)
             start_epoch = meta["epoch"]
             best_acc, best_epoch = meta["best_acc"], meta["best_epoch"]
         else:
@@ -503,10 +520,13 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             exp = build_experiment(cfg)
             chash = config_mod.config_hash(cfg)
             ckpt_dir.mkdir(exist_ok=True)
-            config_mod.dump(cfg, out_dir / "config.txt")
             save_dataset(exp.dataset, out_dir / "dataset.bin")
             _write_metrics_header(metrics_path)
-            save_checkpoint(ckpt_dir / "init.ckpt", _ckpt_state(exp), chash, 0, -1.0, -1)
+            save_checkpoint([ckpt_dir / "init.ckpt"], _ckpt_state(exp), chash, 0, -1.0, -1)
+            # config.txt marks the directory as holding a run, so it comes
+            # last: a crash before it leaves a directory a fresh train reuses
+            with replacing(out_dir / "config.txt") as fh:
+                fh.write(config_mod.dumps(cfg).encode())
             start_epoch = 0
             best_acc, best_epoch = -1.0, -1
             record = None
@@ -516,10 +536,13 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
         for epoch in range(start_epoch, end_epoch):
             record = train_epoch(exp, epoch)
             _append_metrics(metrics_path, record)
+            # best.ckpt before last.ckpt: a crash between them redoes the
+            # epoch, which writes best.ckpt again
+            paths = [ckpt_dir / "last.ckpt"]
             if record.val_acc_clean > best_acc:
                 best_acc, best_epoch = record.val_acc_clean, epoch
-                save_checkpoint(ckpt_dir / "best.ckpt", _ckpt_state(exp), chash, epoch + 1, best_acc, best_epoch)
-            save_checkpoint(ckpt_dir / "last.ckpt", _ckpt_state(exp), chash, epoch + 1, best_acc, best_epoch)
+                paths.insert(0, ckpt_dir / "best.ckpt")
+            save_checkpoint(paths, _ckpt_state(exp), chash, epoch + 1, best_acc, best_epoch)
 
         finished = end_epoch == total
         summary = {
@@ -536,25 +559,6 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             with replacing(out_dir / "summary.json") as fh:
                 fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
         return summary
-
-
-def _load_ckpt_state(exp: Experiment, arrays: dict):
-    """Copy a checkpoint's parameters and velocities into the experiment's
-    arrays once every name and shape matches; raises CheckpointError."""
-    params = {k: v for k, v in arrays.items() if not k.startswith("velocity.")}
-    for name, v in exp.optimizer.velocities.items():
-        key = f"velocity.{name}"
-        if key not in arrays:
-            raise CheckpointError(f"checkpoint missing optimizer state for {name!r}")
-        if arrays[key].shape != v.shape:
-            raise CheckpointError(f"checkpoint optimizer state for {name!r} has shape "
-                                  f"{arrays[key].shape}, expected {v.shape}")
-    try:
-        exp.models.load_state_arrays(params)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint does not fit the model: {exc}") from None
-    for name, v in exp.optimizer.velocities.items():
-        v[...] = arrays[f"velocity.{name}"]
 
 
 def ablation_row_config(base_cfg: dict, row: str) -> dict:

@@ -159,7 +159,7 @@ def test_checkpoint_shape_mismatch_rejected(stopped_run, tmp_path, capsys, name,
     arrays, meta = load_checkpoint(ckpt)
     assert arrays[name].shape != shape
     arrays[name] = np.zeros(shape, np.float32)
-    save_checkpoint(ckpt, arrays, **meta)
+    save_checkpoint([ckpt], arrays, **meta)
     assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
     assert name.removeprefix("velocity.") in capsys.readouterr().err
     assert main(["export", "--run", str(run), "--checkpoint", "last",

@@ -242,7 +242,7 @@ class TestPersistence:
 
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "x.bin"
-        write_arrays(path, {"features": np.zeros((2, 3), np.float32)}, {"num_classes": 2})
+        write_arrays([path], {"features": np.zeros((2, 3), np.float32)}, {"num_classes": 2})
         with pytest.raises(CorruptHeaderError):
             load_dataset(path)
 
@@ -282,7 +282,7 @@ class TestArrayContainer:
         }
         meta = {"hash": "ab", "epoch": 3, "acc": -1.0}
         path = tmp_path / "a.bin"
-        write_arrays(path, arrays, meta)
+        write_arrays([path], arrays, meta)
         out, out_meta = read_arrays(path)
         assert out_meta == meta and list(out) == list(arrays)
         for name, arr in arrays.items():
@@ -293,7 +293,7 @@ class TestArrayContainer:
 
     def test_unsupported_dtype_not_written(self, tmp_path):
         with pytest.raises(DatasetFileError):
-            write_arrays(tmp_path / "a.bin", {"c": np.zeros(2, np.complex64)}, {})
+            write_arrays([tmp_path / "a.bin"], {"c": np.zeros(2, np.complex64)}, {})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("blob", [

@@ -16,64 +16,69 @@ def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _models(backbone="mlp", shape=(8, 8), seed=1):
-    return ModelSet(input_shape=shape, num_classes=4, num_clusters=3,
-                    feature_dim=16, hidden=32, backbone_kind=backbone, init_seed=seed)
+def _models(backbone="mlp", shape=(8, 8), seed=1, classes=4, feature_dim=16, hidden=32):
+    return ModelSet(input_shape=shape, num_classes=classes, num_clusters=3,
+                    feature_dim=feature_dim, hidden=hidden, backbone_kind=backbone, init_seed=seed)
 
 
 class TestBackbones:
     def test_mlp_output_shape_flat(self):
-        bb = MlpBackbone((5,), hidden=16, feature_dim=8, rng=_rng())
+        bb = _models(shape=(5,), hidden=16, feature_dim=8).backbone
+        assert isinstance(bb, MlpBackbone)
         out = bb(Tensor(np.zeros((3, 5), dtype=np.float32)))
         assert out.shape == (3, 8)
 
     def test_mlp_flattens_images(self):
-        bb = MlpBackbone((6, 6), hidden=16, feature_dim=8, rng=_rng())
+        bb = _models(shape=(6, 6), hidden=16, feature_dim=8).backbone
         out = bb(Tensor(np.zeros((3, 6, 6), dtype=np.float32)))
         assert out.shape == (3, 8)
 
     def test_conv_output_shape(self):
-        bb = ConvBackbone((8, 8), feature_dim=10, rng=_rng())
+        bb = _models("conv", feature_dim=10).backbone
+        assert isinstance(bb, ConvBackbone)
         out = bb(Tensor(np.zeros((2, 8, 8), dtype=np.float32)))
         assert out.shape == (2, 10)
 
     def test_conv_rejects_bad_spatial_dims(self):
         with pytest.raises(ValueError):
-            ConvBackbone((6, 6), feature_dim=8, rng=_rng())
+            ConvBackbone((6, 6), feature_dim=8, specs=[])
 
     def test_features_nonnegative(self):
-        bb = MlpBackbone((4,), hidden=8, feature_dim=6, rng=_rng())
+        bb = _models(shape=(4,), hidden=8, feature_dim=6).backbone
         out = bb(Tensor(_rng(1).standard_normal((10, 4)).astype(np.float32)))
         assert out.data.min() >= 0.0  # relu output
 
 
 class TestHeadsAndDecoders:
     def test_softmax_head_rows_normalized(self):
-        head = SoftmaxHead(8, 5, _rng())
+        head = _models(classes=5, feature_dim=8).classifier
+        assert isinstance(head, SoftmaxHead)
         probs = head(Tensor(_rng(1).standard_normal((6, 8)).astype(np.float32)))
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_log_probs_consistent_with_probs(self):
-        head = SoftmaxHead(8, 5, _rng())
+        head = _models(classes=5, feature_dim=8).classifier
         feats = Tensor(_rng(1).standard_normal((6, 8)).astype(np.float32))
         np.testing.assert_allclose(np.exp(head.log_probs(feats).data), head(feats).data,
                                    atol=1e-5)
 
     def test_mlp_decoder_output_shape_and_range(self):
-        dec = MlpDecoder(8, (5, 5), hidden=16, rng=_rng())
+        dec = _models(shape=(5, 5), hidden=16, feature_dim=8).decoder
+        assert isinstance(dec, MlpDecoder)
         out = dec(Tensor(np.zeros((3, 8), dtype=np.float32)))
         assert out.shape == (3, 5, 5)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_conv_decoder_output_shape_and_range(self):
-        dec = ConvDecoder(8, (8, 8), rng=_rng())
+        dec = _models("conv", feature_dim=8).decoder
+        assert isinstance(dec, ConvDecoder)
         out = dec(Tensor(_rng(1).standard_normal((2, 8)).astype(np.float32)))
         assert out.shape == (2, 8, 8)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_conv_decoder_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            ConvDecoder(8, (6, 6), rng=_rng())
+            ConvDecoder(8, (6, 6), specs=[])
 
 
 class TestModelSet:
@@ -96,25 +101,13 @@ class TestModelSet:
         with pytest.raises(ValueError):
             _models(backbone="transformer")
 
-    def test_state_roundtrip(self):
-        a, b = _models(seed=1), _models(seed=2)
-        b.load_state_arrays(a.state_arrays())
-        for name, p in a.parameters().items():
-            np.testing.assert_array_equal(p.data, b.parameters()[name].data)
-
-    def test_load_rejects_name_mismatch(self):
-        ms = _models()
-        state = ms.state_arrays()
-        state["bogus"] = np.zeros(3)
-        with pytest.raises(ValueError):
-            ms.load_state_arrays(state)
-
-    def test_load_rejects_shape_mismatch(self):
-        ms = _models()
-        state = ms.state_arrays()
-        state["classifier.w"] = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            ms.load_state_arrays(state)
+    @pytest.mark.parametrize("backbone", ["mlp", "conv"])
+    def test_parameters_tile_one_flat_buffer(self, backbone):
+        ms = _models(backbone)
+        assert ms.flat.dtype == np.float32
+        pieces = [p.data for p in ms.parameters().values()]
+        assert all(np.shares_memory(p, ms.flat) for p in pieces)
+        assert np.concatenate(pieces, axis=None).tobytes() == ms.flat.tobytes()
 
     def test_zero_grad_clears(self):
         ms = _models()

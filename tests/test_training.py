@@ -1,7 +1,10 @@
 import contextlib
 import fcntl
+import hashlib
 import json
+import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from noisylab import data as data_mod
 from noisylab import training as training_mod
 from noisylab.augment import ALL_OPS, augment_batch
 from noisylab.autodiff import Tensor
+from noisylab.export import load_run_models
 from noisylab.training import (
     ABLATION_ROWS,
     CheckpointError,
@@ -50,11 +54,22 @@ def tiny_config(**overrides):
     return config_mod.validate(cfg)
 
 
+def _flat_params(**shapes):
+    """Parameters of ones laid out in one flat buffer, as ModelSet lays them."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.ones(sum(sizes), np.float32)
+    ends = np.cumsum(sizes)
+    params = {name: Tensor(flat[end - size : end].reshape(shape), requires_grad=True)
+              for (name, shape), size, end in zip(shapes.items(), sizes, ends)}
+    return params, flat
+
+
 class TestOptimizer:
     def test_matches_manual_sgd_with_momentum(self):
-        p = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
+        flat = np.array([1.0, -2.0], dtype=np.float64)
+        p = Tensor(flat, requires_grad=True)
         p.grad = np.array([0.5, 0.5])
-        opt = SgdOptimizer({"p": p}, momentum=0.9, weight_decay=0.01)
+        opt = SgdOptimizer({"p": p}, flat, momentum=0.9, weight_decay=0.01)
         w0 = p.data.copy()
         v = 0.9 * 0.0 + p.grad + 0.01 * w0
         expect = w0 - 0.1 * v
@@ -68,21 +83,29 @@ class TestOptimizer:
         np.testing.assert_allclose(p.data, expect2)
 
     def test_none_grad_treated_as_zero(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        opt = SgdOptimizer({"p": p}, momentum=0.0, weight_decay=0.0)
+        params, flat = _flat_params(p=(2,))
+        opt = SgdOptimizer(params, flat, momentum=0.0, weight_decay=0.0)
         opt.step(0.1)
-        np.testing.assert_allclose(p.data, 1.0)
+        np.testing.assert_allclose(params["p"].data, 1.0)
 
     def test_negative_lr_rejected(self):
-        p = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ValueError):
-            SgdOptimizer({"p": p}).step(-0.1)
+            SgdOptimizer(*_flat_params(p=(2,))).step(-0.1)
+
+    def test_steps_the_parameters_in_place(self):
+        params, flat = _flat_params(a=(2, 3), b=(4,))
+        views = {name: p.data for name, p in params.items()}
+        opt = SgdOptimizer(params, flat)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step(0.1)
+        assert all(params[name].data is view for name, view in views.items())
+        assert np.all(flat < 1.0)
 
     @pytest.mark.parametrize("bad", ["a", "c"])
     def test_nan_gradient_names_parameter_and_changes_nothing(self, bad):
-        params = {name: Tensor(np.full(shape, 1.0, np.float32), requires_grad=True)
-                  for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (3, 2)))}
-        opt = SgdOptimizer(params)
+        params, flat = _flat_params(a=(2, 3), b=(4,), c=(3, 2))
+        opt = SgdOptimizer(params, flat)
         for p in params.values():
             p.grad = np.ones_like(p.data)
         params[bad].grad[-1, -1] = np.nan
@@ -90,22 +113,6 @@ class TestOptimizer:
             opt.step(0.1)
         for name, p in params.items():
             assert np.all(p.data == 1.0) and np.all(opt.velocities[name] == 0.0)
-
-    def test_step_after_checkpoint_load_moves_model_parameters(self):
-        cfg = tiny_config()
-        donor = build_experiment(cfg)
-        train_epoch(donor, 0)
-        state = {name: a.copy() for name, a in training_mod._ckpt_state(donor).items()}
-        exp = build_experiment(cfg)
-        training_mod._load_ckpt_state(exp, state)
-        for name, p in exp.models.parameters().items():
-            assert np.array_equal(p.data, state[name])
-            assert np.array_equal(exp.optimizer.velocities[name], state[f"velocity.{name}"])
-        train_epoch(exp, 1)
-        train_epoch(donor, 1)
-        for name, p in exp.models.parameters().items():
-            assert np.array_equal(p.data, donor.models.parameters()[name].data)
-        assert any(not np.array_equal(p.data, state[name]) for name, p in exp.models.parameters().items())
 
 
 class TestLrSchedule:
@@ -128,7 +135,7 @@ class TestCheckpointFormat:
             "i": np.array([3, 4], dtype=np.int32),
         }
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, arrays, "a" * 64, epoch=5, best_acc=0.75, best_epoch=2)
+        save_checkpoint([path], arrays, "a" * 64, epoch=5, best_acc=0.75, best_epoch=2)
         out, meta = load_checkpoint(path)
         assert meta == {"config_hash": "a" * 64, "epoch": 5, "best_acc": 0.75, "best_epoch": 2}
         for name, arr in arrays.items():
@@ -149,7 +156,7 @@ class TestCheckpointFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"w": np.zeros(3, np.float32)}, "a" * 64, 1, 0.5, 0)
+        save_checkpoint([path], {"w": np.zeros(3, np.float32)}, "a" * 64, 1, 0.5, 0)
         path.write_bytes(path.read_bytes() + bytes(400))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -167,6 +174,88 @@ class TestCheckpointFormat:
         data_mod.save_dataset(build_dataset(tiny_config()), path)
         with pytest.raises(CheckpointError, match="config_hash"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def stopped_run(tmp_path_factory):
+    """A tiny run stopped after the first of its three epochs."""
+    run = tmp_path_factory.mktemp("stopped") / "run"
+    run_experiment(tiny_config(), run, stop_after=1)
+    return run
+
+
+class NoDraws(np.random.Generator):
+    """A Generator that refuses the uniform draws of a parameter init."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew an init")
+
+
+class TestCheckpointLoad:
+    """build_experiment with a checkpoint's arrays, the one load path of
+    resume and export."""
+
+    def test_step_after_checkpoint_load_moves_model_parameters(self):
+        cfg = tiny_config()
+        donor = build_experiment(cfg)
+        train_epoch(donor, 0)
+        state = {name: a.copy() for name, a in training_mod._ckpt_state(donor).items()}
+        exp = build_experiment(cfg, checkpoint=state)
+        for name, p in exp.models.parameters().items():
+            assert np.array_equal(p.data, state[name])
+            assert np.array_equal(exp.optimizer.velocities[name], state[f"velocity.{name}"])
+        train_epoch(exp, 1)
+        train_epoch(donor, 1)
+        for name, p in exp.models.parameters().items():
+            assert np.array_equal(p.data, donor.models.parameters()[name].data)
+        assert any(not np.array_equal(p.data, state[name]) for name, p in exp.models.parameters().items())
+
+    def test_resume_and_export_draw_no_init(self, stopped_run, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(stopped_run, run)
+        monkeypatch.setattr(np.random, "Generator", NoDraws)
+        with pytest.raises(AssertionError, match="drew an init"):
+            build_experiment(tiny_config())
+        for name in ("last", "best"):
+            load_run_models(run, name)
+        assert run_experiment({}, run, resume=True)["finished"]
+        load_run_models(run, "last")
+
+    @pytest.mark.parametrize("extra,digest", [
+        ({}, "8947cb81df56d9ef08ced37b3cf5fc435af5a4b24acf5ab95ae267a152102716"),
+        ({"model.backbone": "conv"}, "6b95a3b0bacc9354edccd8d22b70537d861eebb14146b62d83714f36ab377c6c"),
+    ], ids=["mlp", "conv"])
+    def test_init_parameters_golden(self, tmp_path, extra, digest):
+        # pins the init draw order and its float64 -> float32 cast
+        run_experiment(tiny_config(**extra), tmp_path / "run", stop_after=0)
+        arrays, _ = load_checkpoint(tmp_path / "run" / "checkpoints" / "init.ckpt")
+        sha = hashlib.sha256()
+        for name in sorted(arrays):
+            if not name.startswith("velocity."):
+                sha.update(arrays[name].tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("name,value", [
+        ("bogus", np.zeros(3, np.float32)),
+        ("classifier.w", None),
+        ("velocity.backbone.w1", None),
+        ("classifier.w", np.zeros((2, 2), np.float32)),
+        ("velocity.cluster.b", np.zeros(5, np.float32)),
+    ], ids=["extra", "missing", "missing-velocity", "shape", "velocity-shape"])
+    def test_mismatched_checkpoint_rejected(self, stopped_run, tmp_path, name, value):
+        run = tmp_path / "run"
+        shutil.copytree(stopped_run, run)
+        ckpt = run / "checkpoints" / "last.ckpt"
+        arrays, meta = load_checkpoint(ckpt)
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        save_checkpoint([ckpt], arrays, **meta)
+        with pytest.raises(CheckpointError, match=name):
+            run_experiment({}, run, resume=True)
+        with pytest.raises(CheckpointError, match=name):
+            load_run_models(run, "last")
 
 
 class TestWiring:
@@ -495,6 +584,28 @@ class TestRunExperiment:
         (run / "metrics.csv").write_text("".join(lines[:2]))
         with pytest.raises(CheckpointError, match="1 rows for 2 finished epochs"):
             run_experiment({}, run, resume=True)
+
+    @pytest.mark.parametrize("writer", ["save_dataset", "_write_metrics_header", "save_checkpoint"])
+    def test_crash_in_set_up_leaves_directory_reusable(self, tmp_path, monkeypatch, writer):
+        def crash(*args):
+            raise OSError("crashed")
+
+        cfg = tiny_config()
+        monkeypatch.setattr(training_mod, writer, crash)
+        with pytest.raises(OSError, match="crashed"):
+            run_experiment(cfg, tmp_path / "run")
+        monkeypatch.undo()
+        assert not (tmp_path / "run" / "config.txt").exists()
+        run_experiment(cfg, tmp_path / "run")
+        run_experiment(cfg, tmp_path / "full")
+        _assert_same_checkpoints(tmp_path / "run", tmp_path / "full")
+
+    def test_improving_epoch_writes_best_and_last_alike(self, tmp_path):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run, stop_after=1)  # the first epoch always improves
+        ckpt_dir = run / "checkpoints"
+        assert (ckpt_dir / "best.ckpt").read_bytes() == (ckpt_dir / "last.ckpt").read_bytes()
+        assert not list(ckpt_dir.glob("*.tmp"))
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 2})
