@@ -13,8 +13,8 @@ Public API:
 - ``augment_batch(policy, batch, global_seed, epoch, sample_indices)``: a
   fresh pipeline per row, seeded by (global seed, epoch, index); what
   training calls.
-- ``derive_seed(*parts)``: the 64-bit seed of a row's pipeline,
-  ``derive_seed(global_seed, epoch, index)``.
+- ``derive_seed(global_seed, epoch, index)``: the 64-bit seed of a row's
+  pipeline.
 - ``sample_pipeline(policy, seed)``: that pipeline as ``AugmentOp`` records.
 - ``apply_op(op, x)``: one recorded op applied to one sample.
 
@@ -36,8 +36,6 @@ row.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +48,9 @@ _PARAMS = ("side_frac", "sigma", "delta", "scale", "max_frac", "prob")
 _CUTOUT, _NOISE, _BRIGHTNESS, _CONTRAST, _TRANSLATE, _FLIP = range(len(ALL_OPS))
 # the ops whose parameter the pipeline draws
 _DRAWS_SCALAR = np.isin(np.arange(len(ALL_OPS)), [_BRIGHTNESS, _CONTRAST])
+
+# seeds and epochs are one 32-bit word each of SeedSequence's entropy
+SEED_BOUND = 2**32
 
 CUTOUT_FILL = 0.5
 TRANSLATE_FILL = 0.5
@@ -100,14 +101,15 @@ class AugmentPolicy:
             raise ValueError("magnitude must be in [0, 1]")
 
 
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from integer parts (global seed, epoch, index...)."""
-    return int(_seed_states(tuple(int(p) for p in parts), 1)[0, 0])
+def derive_seed(global_seed: int, epoch: int, index: int) -> int:
+    """Stable 64-bit seed of row ``index``'s pipeline at ``epoch``; the seed
+    and epoch are in [0, 2**32), the index in [0, 2**64)."""
+    return int(_seed_states((global_seed, epoch), [index], 1)[0, 0])
 
 
 def sample_pipeline(policy: AugmentPolicy, rng_seed: int) -> AugmentPipeline:
     """Uniformly sample ``num_ops`` ops (with replacement) from the pool."""
-    kinds, seeds, scalars = _draw_pipelines(policy, _seed_states((rng_seed,), 4))
+    kinds, seeds, scalars = _draw_pipelines(policy, _seed_states((), [rng_seed], 4))
     ops = tuple(AugmentOp(kind=ALL_OPS[k], params={_PARAMS[k]: float(v)}, seed=int(s))
                 for k, s, v in zip(kinds[:, 0], seeds[:, 0], scalars[:, 0]))
     return AugmentPipeline(ops=ops, magnitude=policy.magnitude)
@@ -156,62 +158,38 @@ _MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, dtype=np.uint32), np.array(0x497
 _XSHIFT = np.array(16, dtype=np.uint32)
 
 
-def _seed_states(parts, n_words: int) -> np.ndarray:
-    """``SeedSequence(tuple(row)).generate_state(n_words, np.uint64)`` for
-    every row of ``parts``, as a C-contiguous ``(rows, n_words)`` array.
+def _seed_states(head, values, n_words: int) -> np.ndarray:
+    """``SeedSequence((*head, v)).generate_state(n_words, np.uint64)`` for
+    each ``v`` in ``values``, as a C-contiguous ``(len(values), n_words)``
+    array, ``n_words <= 4``.
 
-    Each part is a non-negative integer or a 1-d sequence of them; scalars
-    broadcast, and all-scalar parts give one row. Rows are grouped by how
-    many 32-bit words each part takes, since the hash constants depend only
-    on the position of a word in the entropy.
+    ``head`` is at most two integers in [0, 2**32) and ``values`` is 1-d,
+    integers in [0, 2**64); anything else raises ValueError. numpy splits the
+    entropy into at most four 32-bit words, its pool size, and hashes a
+    missing pool word as 0, so the words written into a zero-padded pool give
+    numpy's state however many words each value takes.
     """
-    words, counts = zip(*map(_entropy_words, parts))
-    (rows,) = np.broadcast_shapes(*(c.shape for c in counts))
-    words = [w if len(w) == rows else w.repeat(rows, axis=0) for w in words]
-    out = np.empty((rows, n_words), dtype=np.uint64)
-    todo = np.arange(rows)
-    while todo.size:
-        layout = [int(c[todo[0]] if len(c) > 1 else c[0]) for c in counts]
-        same = np.ones(todo.size, dtype=bool)
-        for c, k in zip(counts, layout):
-            if len(c) > 1:
-                same &= c[todo] == k
-        if same.all():  # the common case: one layout
-            sel, todo = todo, todo[:0]
-        else:
-            sel, todo = todo[same], todo[~same]
-        entropy = np.concatenate([w[sel, :k] for w, k in zip(words, layout)], axis=1)
-        out[sel] = _generate_state(_mix_entropy(entropy), n_words)
-    return out
+    if len(head) > 2 or not _integers_in(head, SEED_BOUND):
+        raise ValueError(f"expected at most two integers in [0, 2**32), got {tuple(head)}")
+    if not isinstance(values, np.ndarray):  # Python ints, checked one by one
+        values = np.array(values, dtype=np.uint64) if _integers_in(values, 1 << 64) else None
+    if values is None or values.ndim != 1 or values.size and (values.dtype.kind not in "iu" or values.min() < 0):
+        raise ValueError("expected a 1-d sequence of integers in [0, 2**64)")
+    pool = np.zeros((_POOL_SIZE, len(values)), dtype=np.uint32)
+    pool[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    # little-endian word pairs, low word first, as numpy splits an integer
+    pool[len(head) : len(head) + 2] = values.astype("<u8").view("<u4").reshape(-1, 2).T
+    return _generate_state(_mix_entropy(pool), n_words)
 
 
-def _entropy_words(part):
-    """Split integers into little-endian uint32 words as numpy does (zero is
-    one word; each further 32 bits add one). Returns the words, zero-padded
-    to ``(rows, k)``, and each row's word count."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-        if part.dtype.kind == "i" and (part < 0).any():
-            raise ValueError("expected non-negative integer")
-        words = np.asarray(part, dtype="<u8").view("<u4").reshape(-1, 2)
-        return words, 1 + (words[:, 1] != 0)
-    values = [operator.index(v) for v in ([part] if isinstance(part, (int, np.integer)) else part)]
-    if any(v < 0 for v in values):
-        raise ValueError("expected non-negative integer")
-    counts = [max(1, -(-v.bit_length() // 32)) for v in values]
-    k = max(counts, default=1)
-    words = [[v >> (32 * i) & _MASK32 for i in range(k)] for v in values]
-    return np.array(words, dtype=np.uint32).reshape(len(values), k), np.array(counts, dtype=np.int64)
+def _integers_in(values, bound) -> bool:
+    return all(isinstance(v, (int, np.integer)) and 0 <= v < bound for v in values)
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_consts(const, mult, count):
     """The xor and multiply constants of ``count`` successive hash steps, as
     ``(count, 1)`` uint32 columns."""
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    consts = np.array(consts, dtype=np.uint32)[:, None]
-    consts.setflags(write=False)  # cached: shared by every caller
+    consts = np.array([const * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)], dtype=np.uint32)[:, None]
     return consts[:-1], consts[1:]
 
 
@@ -223,6 +201,8 @@ _HEAD_XOR, _HEAD_MULT = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2)
 _MIX_STEPS = [[_POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst >= src) for dst in range(_POOL_SIZE)]
               for src in range(_POOL_SIZE)]
 _MIX_XOR, _MIX_MULT = _HEAD_XOR[_MIX_STEPS], _HEAD_MULT[_MIX_STEPS]
+# generate_state hashes pool words in turn, two per uint64 word
+_STATE_XOR, _STATE_MULT = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
 def _hash(value, xor, mult):
@@ -235,29 +215,20 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _mix_entropy(entropy):
-    """SeedSequence's pool, ``(4, rows)``, of each row of ``(rows, L)``
-    uint32 entropy."""
-    rows, length = entropy.shape
-    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
-    pool[:length] = entropy.T[:_POOL_SIZE]
+def _mix_entropy(pool):
+    """SeedSequence's mixing of a ``(4, rows)`` uint32 entropy pool."""
     pool = _hash(pool, _HEAD_XOR[:_POOL_SIZE], _HEAD_MULT[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
         mixed = _mix(pool, _hash(pool[src], _MIX_XOR[src], _MIX_MULT[src]))
         mixed[src] = pool[src]
         pool = mixed
-    # entropy past the pool size: each word is mixed into every pool word
-    xor, mult = _hash_consts(int(_HEAD_MULT[-1, 0]), _MULT_A, _POOL_SIZE * max(length - _POOL_SIZE, 0))
-    for step, src in enumerate(range(_POOL_SIZE, length)):
-        steps = slice(_POOL_SIZE * step, _POOL_SIZE * (step + 1))
-        pool = _mix(pool, _hash(entropy[:, src], xor[steps], mult[steps]))
     return pool
 
 
 def _generate_state(pool, n_words):
     """``generate_state(n_words, np.uint64)`` of each column of a pool."""
-    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * n_words)
-    state = _hash(pool[np.arange(2 * n_words) % _POOL_SIZE], xor, mult)
+    steps = slice(0, 2 * n_words)
+    state = _hash(pool[np.arange(2 * n_words) % _POOL_SIZE], _STATE_XOR[steps], _STATE_MULT[steps])
     # little-endian word pairs, as numpy reads them on every platform
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
@@ -276,12 +247,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return np.ascontiguousarray(self.words, dtype=np.uint64)
 
 
-def _generator(words) -> np.random.Generator:
-    """The generator ``Generator(PCG64(SeedSequence(e)))`` of the entropy
-    ``e`` whose four state words are ``words``."""
-    return np.random.Generator(np.random.PCG64(_Words(words)))
-
-
 def apply_op(op: AugmentOp, x: np.ndarray) -> np.ndarray:
     """Apply one op to a single sample (copy; the input is never mutated)."""
     kind = ALL_OPS.index(op.kind)
@@ -293,16 +258,13 @@ def _apply_pipelines(kinds, seeds, scalars, batch: np.ndarray) -> np.ndarray:
     """Apply op slot ``s`` (``kinds[s, i]``, ``seeds[s, i]``,
     ``scalars[s, i]``) to ``batch[i]``, slot after slot, on one copy of the
     batch, which is returned; ``batch`` is not mutated."""
-    image_shaped = batch.ndim == 3
-    if not image_shaped:
-        spatial = [ALL_OPS[k] for k in np.unique(kinds) if ALL_OPS[k] in SPATIAL_OPS]
-        if spatial:
-            raise UnsupportedOpError(f"{spatial[0]} requires image-shaped input, got shape {batch.shape[1:]}")
-    words = _seed_states((seeds.ravel(),), 4)
-    if image_shaped:
+    spatial = [ALL_OPS[k] for k in np.unique(kinds) if ALL_OPS[k] in SPATIAL_OPS]
+    if spatial and batch.ndim != 3:
+        raise UnsupportedOpError(f"{spatial[0]} requires image-shaped input, got shape {batch.shape[1:]}")
+    words = _seed_states((), seeds.ravel(), 4)
+    draws = [None] * len(kinds)  # flat input draws nothing
+    if batch.ndim == 3:
         draws = _draw_spatial(kinds.ravel(), scalars.ravel(), words, batch.shape[1:]).reshape(kinds.shape + (2,))
-    else:
-        draws = [None] * len(kinds)
     words = words.reshape(kinds.shape + (4,))
     out = batch.copy()
     for slot in range(len(kinds)):
@@ -344,24 +306,27 @@ def _apply_slot(kinds, scalars, draws, words, out: np.ndarray) -> None:
     (``_draw_spatial``; None for flat input) and ``words[i]`` the PCG64
     seed words of its seed.
 
-    Rows are grouped by op kind. Value ops run as one array expression per
-    group with per-row scalars in the batch dtype; cutout and translate
-    write per-row slices. Image rows are clipped once at the end, so every
-    row gets the same float operations as when it is augmented alone.
+    Rows are grouped by op kind, and each group is one array expression:
+    value ops with per-row scalars in the batch dtype, cutout a window mask,
+    translate a clipped gather plus a mask of the pixels that stay inside
+    the image. Image rows are clipped once at the end, so every row gets the
+    same float operations as when it is augmented alone.
     """
     image_shaped = out.ndim == 3
     per_row = (-1,) + (1,) * (out.ndim - 1)
+    shape = out.shape[1:]
 
     for kind in np.bincount(kinds, minlength=len(ALL_OPS)).nonzero()[0]:
         rows = (kinds == kind).nonzero()[0]
         if kind == _CUTOUT:
-            sizes = _sizes(scalars[rows], out.shape[1:]).tolist()
-            for r, (top, left), (side_h, side_w) in zip(rows.tolist(), draws[rows].tolist(), sizes):
-                out[r, top : top + side_h, left : left + side_w] = CUTOUT_FILL
+            corner = draws[rows]
+            out[rows] = np.where(_inside(corner, corner + _sizes(scalars[rows], shape), shape),
+                                 CUTOUT_FILL, out[rows])
         elif kind == _NOISE:
             rows = rows[scalars[rows] > 0]
-            if rows.size:
-                noise = [_generator(words[r]).normal(0.0, scalars[r], size=out.shape[1:]) for r in rows]
+            if rows.size:  # Generator(PCG64(SeedSequence(seed))) per row, from its state words
+                noise = [np.random.Generator(np.random.PCG64(_Words(words[r]))).normal(0.0, scalars[r], size=shape)
+                         for r in rows]
                 out[rows] = out[rows] + np.array(noise, dtype=out.dtype)
         elif kind == _BRIGHTNESS:
             out[rows] = out[rows] + scalars[rows].astype(out.dtype).reshape(per_row)
@@ -370,14 +335,11 @@ def _apply_slot(kinds, scalars, draws, words, out: np.ndarray) -> None:
             center = 0.5 if image_shaped else 0.0
             out[rows] = center + scalars[rows].astype(out.dtype).reshape(per_row) * (out[rows] - center)
         elif kind == _TRANSLATE:
-            _, h, w = out.shape
-            for r, (dy, dx) in zip(rows.tolist(), draws[rows].tolist()):
-                if dy or dx:
-                    ys, yd = _shift_slices(h, dy)
-                    xs, xd = _shift_slices(w, dx)
-                    window = out[r, ys, xs].copy()
-                    out[r] = TRANSLATE_FILL
-                    out[r, yd, xd] = window
+            # pixel (y, x) takes (y - dy, x - dx), or the fill past the edge
+            shift = draws[rows]
+            ys, xs = (np.clip(np.arange(n) - d[:, None], 0, n - 1) for d, n in zip(shift.T, shape))
+            moved = out[rows[:, None, None], ys[:, :, None], xs[:, None, :]]
+            out[rows] = np.where(_inside(shift, shift + shape, shape), moved, TRANSLATE_FILL)
         else:  # horizontal-flip
             rows = rows[draws[rows, 0] == 1]
             out[rows] = out[rows, :, ::-1]
@@ -386,18 +348,20 @@ def _apply_slot(kinds, scalars, draws, words, out: np.ndarray) -> None:
         np.clip(out, 0.0, 1.0, out=out)
 
 
-def _shift_slices(size, delta):
-    """Source and destination slices for a 1-d shift by ``delta``."""
-    if delta >= 0:
-        return slice(0, size - delta), slice(delta, size)
-    return slice(-delta, size), slice(0, size + delta)
+def _inside(start, stop, shape):
+    """Per row, the mask of the window ``start <= (y, x) < stop`` on images
+    of ``shape``; ``start`` and ``stop`` are ``(rows, 2)``."""
+    y, x = ((lo[:, None] <= np.arange(n)) & (np.arange(n) < hi[:, None]) for lo, hi, n in zip(start.T, stop.T, shape))
+    return y[:, :, None] & x[:, None, :]
 
 
 def augment_batch(policy: AugmentPolicy, batch: np.ndarray, global_seed: int, epoch: int, sample_indices) -> np.ndarray:
     """Fresh per-sample pipelines, seeded by (global seed, epoch, index),
-    applied one op slot at a time to the whole batch."""
-    seeds = _seed_states((global_seed, epoch, sample_indices), 1)[:, 0]
-    return _apply_pipelines(*_draw_pipelines(policy, _seed_states((seeds,), 4)), batch)
+    applied one op slot at a time to the whole batch. The seed and epoch
+    are in [0, 2**32) and each index in [0, 2**64); anything else raises
+    ValueError."""
+    seeds = _seed_states((global_seed, epoch), sample_indices, 1)[:, 0]
+    return _apply_pipelines(*_draw_pipelines(policy, _seed_states((), seeds, 4)), batch)
 
 
 # PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient

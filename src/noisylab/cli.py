@@ -44,14 +44,20 @@ EXIT_DIVERGENCE = 4
 EXIT_RUNTIME = 1
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_in(low, high, what):
+    """argparse type: an integer in [low, high)."""
+    def parse(text):
+        try:
+            if low <= int(text) < high:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_positive_int = _int_in(1, float("inf"), "a positive integer")
+_seed = _int_in(0, config_mod.SEED_BOUND, "a seed in [0, 2**32)")
 
 
 def _image_shape(text):
@@ -153,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--dims", type=_positive_int, default=2, help="flat feature dimension")
     group.add_argument("--image", type=_image_shape, default=None, help="image shape, e.g. 12x12")
     p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -161,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=["symmetric", "asymmetric"], required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-wrap", action="store_true",
                    help="asymmetric: leave the last class unflipped")
     p.add_argument("--out", required=True)
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--override", action="append", metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="set all three seeds from one base value")
         p.add_argument("--out-dir", required=True)
         if name == "train":

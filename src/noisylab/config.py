@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .augment import ALL_OPS, SPATIAL_OPS
+from .augment import ALL_OPS, SEED_BOUND, SPATIAL_OPS
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +72,10 @@ def _choice_field(default, choices, help=""):
     return Field(parse=str, default=default, choices=tuple(choices), help=help)
 
 
+def _seed_field(default):
+    return Field(parse=int, default=default, check=lambda v: 0 <= v < SEED_BOUND, help="seeds are in [0, 2**32)")
+
+
 SCHEMA = {
     "schema_version": Field(parse=int, default=SCHEMA_VERSION),
     # dataset
@@ -118,9 +122,9 @@ SCHEMA = {
     "augment.num_ops": Field(parse=int, default=2, check=lambda v: v >= 1),
     "augment.magnitude": Field(parse=float, default=0.5, check=lambda v: 0 <= v <= 1),
     # seeds
-    "seeds.init": Field(parse=int, default=1),
-    "seeds.data": Field(parse=int, default=2),
-    "seeds.augment": Field(parse=int, default=3),
+    "seeds.init": _seed_field(1),
+    "seeds.data": _seed_field(2),
+    "seeds.augment": _seed_field(3),
 }
 
 def default_config() -> dict:
@@ -141,6 +145,8 @@ def _semantic_errors(cfg: dict) -> list:
     ms = cfg["optim.milestones"]
     if any(not 0 < m < 1 for m in ms) or sorted(ms) != ms:
         errors.append("optim.milestones: must be sorted fractions in (0, 1)")
+    if not cfg["augment.ops"]:
+        errors.append("augment.ops: must name at least one op")
     for op in cfg["augment.ops"]:
         if op not in ALL_OPS:
             errors.append(f"augment.ops: unknown op {op!r}")
@@ -152,6 +158,8 @@ def _semantic_errors(cfg: dict) -> list:
             )
     if cfg["model.backbone"] == "conv" and cfg["data.kind"] != "images":
         errors.append("model.backbone=conv requires data.kind=images")
+    elif cfg["model.backbone"] == "conv" and cfg["data.image_size"] % 4:
+        errors.append("model.backbone=conv requires data.image_size divisible by 4")
     return errors
 
 
@@ -170,7 +178,7 @@ def validate(cfg: dict) -> dict:
         if f.choices and value not in f.choices:
             errors.append(f"{key}: {value!r} not one of {list(f.choices)}")
         elif f.check is not None and not f.check(value):
-            errors.append(f"{key}: invalid value {value!r}")
+            errors.append(f"{key}: invalid value {value!r}" + (f" ({f.help})" if f.help else ""))
     if not errors:
         errors = _semantic_errors(cfg)
     if errors:

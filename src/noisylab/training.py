@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,6 @@ from .losses import (
 from .models import ModelSet
 
 DIVERGENCE_LIMIT = 1e4
-
-METRICS_COLUMNS = [
-    "epoch", "lr", "alpha", "loss_total", "loss_bootstrap", "loss_rec",
-    "loss_cluster_R", "loss_cluster_KL", "loss_cluster_Hcx",
-    "train_acc_noisy", "val_acc_clean", "corrupted_subset_acc", "seconds",
-]
 
 ABLATION_ROWS = [
     ("CE", False, False, False),
@@ -208,7 +202,7 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
     """Wire a config into an experiment. The parameters are drawn from
     ``seeds.init``; given a checkpoint's arrays, the parameters and velocities
     are copied from them instead and nothing is drawn. A checkpoint whose
-    names or shapes do not fit the model raises CheckpointError."""
+    names, shapes or dtypes do not fit the model raises CheckpointError."""
     cfg = config_mod.validate(dict(cfg))
     ds = dataset if dataset is not None else build_dataset(cfg)
     train_idx, val_idx = split_indices(cfg, len(ds))
@@ -242,6 +236,9 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
             if a.shape != checkpoint[name].shape:
                 raise CheckpointError(f"checkpoint array {name!r} has shape "
                                       f"{checkpoint[name].shape}, expected {a.shape}")
+            if checkpoint[name].dtype != a.dtype.newbyteorder("<"):  # files hold little-endian arrays
+                raise CheckpointError(f"checkpoint array {name!r} has dtype "
+                                      f"{checkpoint[name].dtype}, expected {a.dtype}")
         for name, a in state.items():
             a[...] = checkpoint[name]
     return exp
@@ -284,6 +281,9 @@ class MetricsRecord:
     val_acc_clean: float
     corrupted_subset_acc: float
     seconds: float
+
+
+METRICS_COLUMNS = [f.name for f in fields(MetricsRecord)]
 
 
 def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
@@ -581,6 +581,9 @@ def ablation_row_config(base_cfg: dict, row: str) -> dict:
     return config_mod.validate(cfg)
 
 
+_ABLATION_STATS = ("best_acc", "best_epoch", "last_acc", "gap")
+
+
 def run_ablation(base_cfg: dict, out_dir) -> list:
     """Run the 7-row component grid with shared seeds.
 
@@ -591,36 +594,21 @@ def run_ablation(base_cfg: dict, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_cfg = config_mod.validate(dict(base_cfg))
+    seeds = (base_cfg["seeds.init"], base_cfg["seeds.data"], base_cfg["seeds.augment"])
     results = []
     for name, *_ in ABLATION_ROWS:
-        row_cfg = ablation_row_config(base_cfg, name)
-        row_dir = out_dir / ("CE" if name == "CE" else name.replace("+", ""))
+        row_cfg, row_dir = ablation_row_config(base_cfg, name), out_dir / name.replace("+", "")
         try:
-            summary = run_experiment(row_cfg, row_dir)
-            results.append({
-                "row": name,
-                "status": "ok",
-                "best_acc": summary["best_acc"],
-                "best_epoch": summary["best_epoch"],
-                "last_acc": summary["last_acc"],
-                "gap": summary["gap"],
-                "seeds": (base_cfg["seeds.init"], base_cfg["seeds.data"], base_cfg["seeds.augment"]),
-            })
+            summary, status = run_experiment(row_cfg, row_dir), "ok"
         except (DivergenceError, RunLockError, CheckpointError) as exc:
-            results.append({"row": name, "status": f"failed: {exc}", "best_acc": None,
-                            "best_epoch": None, "last_acc": None, "gap": None,
-                            "seeds": (base_cfg["seeds.init"], base_cfg["seeds.data"], base_cfg["seeds.augment"])})
-    with open(out_dir / "ablation.csv", "w", newline="") as fh:
-        fh.write("row,status,best_acc,best_epoch,last_acc,gap,seed_init,seed_data,seed_augment\n")
+            summary, status = {}, f"failed: {exc}"
+        results.append({"row": name, "status": status, **{key: summary.get(key) for key in _ABLATION_STATS},
+                        "seeds": seeds})
+    with replacing(out_dir / "ablation.csv") as fh:
+        fh.write(b"row,status,best_acc,best_epoch,last_acc,gap,seed_init,seed_data,seed_augment\n")
         for r in results:
-            fh.write(",".join([
-                r["row"], r["status"].split(":")[0],
-                "" if r["best_acc"] is None else repr(r["best_acc"]),
-                "" if r["best_epoch"] is None else str(r["best_epoch"]),
-                "" if r["last_acc"] is None else repr(r["last_acc"]),
-                "" if r["gap"] is None else repr(r["gap"]),
-                str(r["seeds"][0]), str(r["seeds"][1]), str(r["seeds"][2]),
-            ]) + "\n")
+            stats = ("" if r[key] is None else repr(r[key]) for key in _ABLATION_STATS)
+            fh.write((",".join([r["row"], r["status"].split(":")[0], *stats, *map(str, seeds)]) + "\n").encode())
     return results
 
 

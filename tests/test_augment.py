@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -47,57 +48,86 @@ class TestSeedDerivation:
         assert derive_seed(1, 2, 9) != base
 
 
-# Integers around every word boundary numpy's SeedSequence splits at.
-_ENTROPY_PARTS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**96 + 5]
+# Heads (global seed, epoch) and row values around every word boundary
+# numpy's SeedSequence splits at, inside the accepted ranges.
+_HEADS = [(), (0,), (2**32 - 1,), (7, 0), (2**32 - 1, 2**31)]
+_VALUES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 
 
 class TestSeedStates:
     """The batched seeding must equal numpy's SeedSequence word for word."""
 
     @pytest.mark.parametrize("n_words", [1, 4])
-    @pytest.mark.parametrize("n_parts", range(1, 7))
-    def test_matches_seed_sequence(self, n_parts, n_words):
-        pick = np.random.default_rng(n_parts).integers(0, len(_ENTROPY_PARTS), size=(24, n_parts))
-        pick[: len(_ENTROPY_PARTS), 0] = np.arange(len(_ENTROPY_PARTS))
-        rows = [tuple(_ENTROPY_PARTS[i] for i in r) for r in pick]
-        expect = np.stack([np.random.SeedSequence(r).generate_state(n_words, np.uint64) for r in rows])
-        for row, want in zip(rows, expect):
-            assert _seed_states(row, n_words).tolist() == [want.tolist()]
-        # one batch whose rows take different word layouts: each column as a
-        # list of Python ints, and as a uint64 array where every value fits
-        columns = [[r[j] for r in rows] for j in range(n_parts)]
-        assert _seed_states(columns, n_words).tolist() == expect.tolist()
-        arrays = [np.array(c, dtype=np.uint64) if max(c) < 2**64 else c for c in columns]
-        got = _seed_states(arrays, n_words)
-        assert got.dtype == np.uint64 and got.flags.c_contiguous
-        assert got.tolist() == expect.tolist()
+    @pytest.mark.parametrize("head", _HEADS)
+    def test_matches_seed_sequence(self, head, n_words):
+        expect = [np.random.SeedSequence(head + (v,)).generate_state(n_words, np.uint64).tolist() for v in _VALUES]
+        # one batch whose values take one and two words: as Python ints, as
+        # uint64, and as int64 where every value fits
+        for values in (_VALUES, np.array(_VALUES, dtype=np.uint64)):
+            got = _seed_states(head, values, n_words)
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert got.tolist() == expect
+        assert _seed_states(head, np.array(_VALUES[:5], dtype=np.int64), n_words).tolist() == expect[:5]
+        for value, want in zip(_VALUES, expect):
+            assert _seed_states(head, [value], n_words).tolist() == [want]
+        assert _seed_states(head, [], n_words).shape == (0, n_words)
 
-    def test_scalars_broadcast_over_arrays(self):
-        idx = np.array([0, 2**32 + 1, 7, 2**63], dtype=np.uint64)
-        expect = [np.random.SeedSequence((2**40, 0, int(i))).generate_state(4, np.uint64).tolist() for i in idx]
-        assert _seed_states((2**40, 0, idx), 4).tolist() == expect
+    @pytest.mark.parametrize("head,values", [
+        ((1, 2, 3), [0]), ((2**32,), [0]), ((-1,), [0]), ((1.0,), [0]),
+        ((), [-1]), ((), np.array([3, -1])), ((), [2**64]), ((), [1.5]), ((), np.zeros((2, 2), np.int64)),
+    ], ids=["three-heads", "head-2**32", "head-negative", "head-float",
+            "value-negative", "array-negative", "value-2**64", "value-float", "values-2d"])
+    def test_out_of_range_rejected(self, head, values):
+        with pytest.raises(ValueError):
+            _seed_states(head, values, 4)
 
-    @pytest.mark.parametrize("parts", [(1, -1), (np.array([3, -1]),), ([2**64, -2**70],)],
-                             ids=["scalar", "array", "list"])
-    def test_negative_part_raises_like_numpy(self, parts):
+    @pytest.mark.parametrize("seed,epoch,index", [(2**32, 0, 0), (0, 2**32, 0), (-1, 0, 0), (0, 0, -1),
+                                                  (0, 0, 2**64)])
+    def test_augment_batch_and_derive_seed_reject_out_of_range(self, seed, epoch, index):
         with pytest.raises(ValueError):
-            np.random.SeedSequence(tuple(int(p) for part in parts for p in np.atleast_1d(part)))
+            augment_batch(AugmentPolicy(), np.zeros((2, 8, 8), np.float32), seed, epoch, [index, 0])
         with pytest.raises(ValueError):
-            _seed_states(parts, 4)
+            derive_seed(seed, epoch, index)
 
     def test_derive_seed_and_sample_pipeline_match_reference(self):
         policy = AugmentPolicy(num_ops=3, magnitude=0.7)
-        for parts in [(3, 0, 0), (2**32, 5, 2**32 + 1), (0,), (2**64 - 1, 2**96 + 5)]:
+        for parts in [(3, 0, 0), (2**32 - 1, 5, 2**32 + 1), (0, 2**32 - 1, 2**64 - 1)]:
             seed = derive_seed(*parts)
             assert seed == _oracle_derive_seed(*parts)
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
-        for seed in _ENTROPY_PARTS:
+        for seed in _VALUES:
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
         # a pipeline long enough to draw past the precomputed PCG64 jumps:
         # each op takes half a kind draw, its seed and its scalar
         long_policy = AugmentPolicy(op_pool=("brightness-shift", "contrast-scale"), num_ops=30, magnitude=0.7)
         for seed in (0, 7, 2**64 - 1):
             assert sample_pipeline(long_policy, seed) == _oracle_sample_pipeline(long_policy, seed)
+
+
+def _fixed_batch(shape, step):
+    """A batch from exact float arithmetic: the same bytes on every platform
+    and numpy version."""
+    return (np.arange(np.prod(shape), dtype=np.float64) * step % 1.0).astype(np.float32).reshape(shape)
+
+
+class TestGoldenDigests:
+    """sha256 of two augmented batches, fixed when the seeding was narrowed
+    to 32-bit seeds and epochs. Every view is pinned, gaussian-noise
+    included, so a change of stream or kernel, or a numpy version that
+    draws differently, shows here."""
+
+    def test_image_batch(self):
+        out = augment_batch(AugmentPolicy(), _fixed_batch((64, 12, 12), 0.6180339887498949), 202, 3, np.arange(64))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == \
+            "2a4920ded3e8c339cb86305b9c1e0a42e1fd273c9bc405712dd31603352e6202"
+
+    def test_flat_batch(self):
+        # indices of one word and of two
+        idx = np.concatenate([np.arange(32, dtype=np.uint64), np.uint64(2**64 - 1) - np.arange(32, dtype=np.uint64)])
+        policy = AugmentPolicy(op_pool=VALUE_OPS, num_ops=3, magnitude=0.8)
+        out = augment_batch(policy, _fixed_batch((64, 11), 0.7548776662466927), 202, 3, idx)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == \
+            "c78cda7e38e90f793ed4351fd7198e2db9b8ab1c151e380b3e58121d5a024630"
 
 
 class TestSamplePipeline:
@@ -389,15 +419,15 @@ class TestBatchMatchesPerSample:
             augment_batch(policy, np.zeros((4, 8), dtype=np.float32), 0, 0, np.arange(4))
 
     def test_mixed_word_layouts(self):
-        # a global seed past 32 bits, epoch 0 (one word) and indices of one
-        # and two words give rows of different entropy layouts in one batch
+        # indices of one and two words give rows of different entropy
+        # layouts in one batch, under the largest seed and epoch
         policy = AugmentPolicy(num_ops=3, magnitude=0.8)
-        idx = np.array([0, 2**32 + 1, 9, 2**32 + 1, 2**40])
+        idx = np.array([0, 2**32 + 1, 9, 2**32 + 1, 2**40, 2**64 - 1], dtype=np.uint64)
         batch = _edge_batch((len(idx), 8, 8), np.float32)
-        out = augment_batch(policy, batch, 2**32 + 3, 0, idx)
-        assert out.tobytes() == _oracle_augment_batch(policy, batch, 2**32 + 3, 0, idx).tobytes()
+        out = augment_batch(policy, batch, 2**32 - 1, 2**32 - 1, idx)
+        assert out.tobytes() == _oracle_augment_batch(policy, batch, 2**32 - 1, 2**32 - 1, idx).tobytes()
         empty = np.zeros((0, 8, 8), dtype=np.float32)
-        out = augment_batch(policy, empty, 2**32 + 3, 0, idx[:0])
+        out = augment_batch(policy, empty, 2**32 - 1, 0, idx[:0])
         assert out.shape == empty.shape and out.dtype == empty.dtype and out is not empty
 
     def test_no_seed_sequence_per_sample(self, monkeypatch):

@@ -168,6 +168,21 @@ def test_checkpoint_shape_mismatch_rejected(stopped_run, tmp_path, capsys, name,
     assert load_checkpoint(ckpt)[0][name].shape == shape
 
 
+def test_checkpoint_dtype_mismatch_rejected(stopped_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    ckpt = run / "checkpoints" / "last.ckpt"
+    arrays, meta = load_checkpoint(ckpt)
+    # an int64 copy truncates every weight toward zero
+    arrays["backbone.w1"] = arrays["backbone.w1"].astype(np.int64)
+    save_checkpoint([ckpt], arrays, **meta)
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    assert "'backbone.w1' has dtype int64, expected float32" in capsys.readouterr().err
+    assert main(["export", "--run", str(run), "--checkpoint", "last",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert "'backbone.w1' has dtype int64, expected float32" in capsys.readouterr().err
+
+
 def test_version_1_files_rejected(tmp_path, capsys):
     # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
     old_dataset = tmp_path / "old.bin"
@@ -191,6 +206,36 @@ def test_train_rejects_bad_config(tmp_path, capsys):
                  "--override", "train.epochs=0"])
     assert code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["augment.ops="],
+    ["model.backbone=conv", "data.image_size=10"],
+    ["seeds.augment=-1"],
+    ["seeds.init=4294967296"],
+], ids=["empty-ops", "conv-image-size-10", "augment-seed-negative", "init-seed-2**32"])
+def test_train_rejects_input_before_writing(tmp_path, capsys, overrides):
+    # each passed validation once and then crashed in the run
+    run = tmp_path / "run"
+    code = main(["train", "--out-dir", str(run)] + TINY + [arg for o in overrides for arg in ("--override", o)])
+    assert code == EXIT_VALIDATION
+    assert overrides[0].split("=")[0] in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "ds.bin", "--seed", "-1"],
+    ["corrupt", "--input", "ds.bin", "--kind", "symmetric", "--eps", "0.5", "--out", "o.bin", "--seed", "-1"],
+    ["train", "--out-dir", "run", "--seed", "4294967296"],
+    ["ablate", "--out-dir", "run", "--seed", "-1"],
+], ids=["generate", "corrupt", "train", "ablate"])
+def test_seed_flag_out_of_range(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: expected a seed in [0, 2**32)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_reports_divergence(tmp_path, capsys):

@@ -89,6 +89,32 @@ class TestValidate:
         with pytest.raises(ConfigError, match="conv"):
             validate(cfg)
 
+    def test_conv_needs_image_size_divisible_by_4(self):
+        cfg = default_config()
+        cfg["model.backbone"] = "conv"
+        cfg["data.image_size"] = 10
+        with pytest.raises(ConfigError, match="divisible by 4"):
+            validate(cfg)
+        cfg["data.image_size"] = 8
+        validate(cfg)
+
+    def test_empty_augment_ops_rejected(self):
+        cfg = default_config()
+        cfg["augment.ops"] = []
+        with pytest.raises(ConfigError, match="augment.ops"):
+            validate(cfg)
+
+    @pytest.mark.parametrize("key", ["seeds.init", "seeds.data", "seeds.augment"])
+    def test_seeds_are_32_bit(self, key):
+        for value in (-1, 2**32):
+            cfg = default_config()
+            cfg[key] = value
+            with pytest.raises(ConfigError, match=rf"{key}: invalid value {value} \(seeds are in \[0, 2\*\*32\)\)"):
+                validate(cfg)
+        for value in (0, 2**32 - 1):
+            cfg[key] = value
+            validate(cfg)
+
     def test_bad_choice_rejected(self):
         cfg = default_config()
         cfg["noise.kind"] = "pairwise"

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -241,7 +243,8 @@ class TestCheckpointLoad:
         ("velocity.backbone.w1", None),
         ("classifier.w", np.zeros((2, 2), np.float32)),
         ("velocity.cluster.b", np.zeros(5, np.float32)),
-    ], ids=["extra", "missing", "missing-velocity", "shape", "velocity-shape"])
+        ("velocity.classifier.b", np.zeros(4, np.float64)),
+    ], ids=["extra", "missing", "missing-velocity", "shape", "velocity-shape", "velocity-dtype"])
     def test_mismatched_checkpoint_rejected(self, stopped_run, tmp_path, name, value):
         run = tmp_path / "run"
         shutil.copytree(stopped_run, run)
@@ -641,3 +644,22 @@ class TestAblation:
         assert "+A+B+C" in table
         csv_lines = (tmp_path / "grid" / "ablation.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 8
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        grid = tmp_path / "grid"
+        grid.mkdir()
+        (grid / "ablation.csv").write_bytes(b"previous\n")
+
+        class DiskFull(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data[: len(data) // 2]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def csv_disk_full(path, mode):
+            return (DiskFull if str(path).endswith(".csv.tmp") else io.FileIO)(path, mode.replace("b", ""))
+
+        monkeypatch.setattr(data_mod, "open", csv_disk_full, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            run_ablation(tiny_config(**{"train.epochs": 1}), grid)
+        assert (grid / "ablation.csv").read_bytes() == b"previous\n"
+        assert not list(grid.glob("*.tmp"))
