@@ -10,13 +10,17 @@ The operator catalog is exactly what the small models and losses need:
 ``linear`` (matmul, bias add and an optional relu as one node), matmul,
 broadcasting add/sub/mul, neg, relu, sigmoid, square, a log clamped to
 probabilities, sum/mean, softmax/log-softmax, reshape, 2-d convolution,
-transposed convolution and max pooling. Convolutions are matrix products:
-through an im2col unfold, or, for a conv that narrows the channel count,
-channels first with no unfold (see the spatial operators). No GPU, no
-broadcasting beyond bias-style shapes. A fused node runs the same numpy
-operations, in the same order and dtype, as the chain of single ops it
-stands for, so its outputs and gradients are bit for bit theirs. An operand
-that needs no gradient gets none computed.
+transposed convolution and max pooling. The spatial operators take only the
+shapes the models use, and any other shape raises ShapeError: a conv2d has
+stride 1, a square k x k kernel and padding below k; a conv_transpose2d
+upsamples by its square kernel (stride k, no padding, no overlap); max
+pooling is non-overlapping. Convolutions are matrix products: through an
+im2col unfold, or, for a conv that narrows the channel count, channels
+first with no unfold (see the spatial operators). No GPU, no broadcasting
+beyond bias-style shapes. A fused node runs the same numpy operations, in
+the same order and dtype, as the chain of single ops it stands for, so its
+outputs and gradients are bit for bit theirs. An operand that needs no
+gradient gets none computed.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
 (gradient checking needs it).
@@ -394,73 +398,55 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Spatial operators. A convolution is one matrix product per layer, in one
-# of two forms chosen by its channel counts:
-# - im2col: unfold the input into (C*kh*kw, Ho*Wo) columns and multiply by
-#   the (Cout, C*kh*kw) weights. Chellapilla, Puri and Simard, "High
+# Spatial operators. A convolution (stride 1, square k x k kernel, padding
+# below k) is one matrix product per layer, in one of two forms chosen by
+# its channel counts:
+# - im2col: unfold the input into (C*k*k, Ho*Wo) columns and multiply by
+#   the (Cout, C*k*k) weights. Chellapilla, Puri and Simard, "High
 #   Performance Convolutional Neural Networks for Document Processing", 2006.
-# - kn2row, for a stride-1 square-kernel conv with at most a quarter as many
-#   output as input channels: multiply the input by every tap's weights
-#   first, then add the k*k shifted products. Anderson, Vasudevan, Keane and
-#   Gregg, "Low-memory GEMM-based convolution algorithms for deep neural
-#   networks", 2017. Its product has k*k*Cout rows where im2col's columns
-#   have k*k*C, so it wins when Cout is small (8->1 at 12x12: ~0.3 ms
-#   against ~1.1 ms for 64 rows) and loses as Cout nears C.
+# - kn2row, for a conv with at most a quarter as many output as input
+#   channels: multiply the input by every tap's weights first, then add the
+#   k*k shifted products. Anderson, Vasudevan, Keane and Gregg, "Low-memory
+#   GEMM-based convolution algorithms for deep neural networks", 2017. Its
+#   product has k*k*Cout rows where im2col's columns have k*k*C, so it wins
+#   when Cout is small (8->1 at 12x12: ~0.3 ms against ~1.1 ms for 64 rows)
+#   and loses as Cout nears C.
 # ---------------------------------------------------------------------------
 
-def _conv_out_size(size, k, stride, pad):
-    return (size + 2 * pad - k) // stride + 1
-
-
 @functools.lru_cache(maxsize=64)
-def _gather_index(hp, wp, kh, kw, stride, ho, wo):
+def _gather_index(hp, wp, k):
     """Flat positions in an (hp, wp) image read by each (kernel tap, output
-    pixel) pair: row ``i * kw + j`` holds tap (i, j) for every output pixel."""
-    taps = (np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1, 1)
-    pixels = ((np.arange(ho) * stride)[:, None] * wp + np.arange(wo) * stride).reshape(1, -1)
+    pixel) pair: row ``i * k + j`` holds tap (i, j) for every output pixel."""
+    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
+    pixels = (np.arange(hp - k + 1)[:, None] * wp + np.arange(wp - k + 1)).reshape(1, -1)
     idx = (taps + pixels).astype(np.intp)
     idx.flags.writeable = False
     return idx
 
 
-def _im2col(x, kh, kw, stride, pad):
-    """(N, C, H, W) -> (N, C*kh*kw, Ho*Wo) columns, channel-major like the
-    (Cout, C, kh, kw) weight layout."""
+def _im2col(x, k, pad):
+    """(N, C, H, W) -> (N, C*k*k, Ho*Wo) columns, channel-major like the
+    (Cout, C, k, k) weight layout."""
     n, c, h, w = x.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
     hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1
     xp = x
     if pad:
         xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
         xp[:, :, pad : pad + h, pad : pad + w] = x
-    # np.take returns a contiguous (N, C, kh*kw, L) array, so the reshape
+    # np.take returns a contiguous (N, C, k*k, L) array, so the reshape
     # below is a view; fancy indexing xp[:, :, idx] would copy it again.
     # Every index lies in [0, hp*wp) by construction, so "wrap" never wraps;
     # it only skips the per-element bounds check of the default "raise".
-    idx = _gather_index(hp, wp, kh, kw, stride, ho, wo)
+    idx = _gather_index(hp, wp, k)
     cols = np.take(xp.reshape(n, c, hp * wp), idx, axis=2, mode="wrap")
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
-
-
-def _col2im(cols, xshape, kh, kw, stride, pad):
-    """Adjoint of _im2col: scatter-add columns back onto an (N, C, H, W)
-    image. Overlapping windows accumulate."""
-    n, c, h, w = xshape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
-    return xp[:, :, pad : pad + h, pad : pad + w]
+    return cols.reshape(n, c * k * k, ho * wo), ho, wo
 
 
 def _tap_windows(size, out_size, k, pad):
-    """For each tap offset ``i`` of a stride-1 conv along one axis, the
-    output slice it reaches and the input slice it reads there, clipped to
-    the image: output ``o`` reads input ``o + i - pad``."""
+    """For each tap offset ``i`` along one axis, the output slice it reaches
+    and the input slice it reads there, clipped to the image: output ``o``
+    reads input ``o + i - pad``."""
     windows = []
     for i in range(k):
         lo, hi = max(0, pad - i), min(out_size, size + pad - i)
@@ -469,12 +455,12 @@ def _tap_windows(size, out_size, k, pad):
     return windows
 
 
-def _conv_im2col(x, w, stride, pad):
+def _conv_im2col(x, w, pad):
     """The conv output without bias, by im2col, and the weight gradient as
     a function of the output gradient."""
     n = x.shape[0]
-    cout, _, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, stride, pad)
+    cout, _, k, _ = w.shape
+    cols, ho, wo = _im2col(x, k, pad)
     out = (w.reshape(cout, -1) @ cols).reshape(n, cout, ho, wo)
 
     def weight_grad(g):
@@ -484,12 +470,12 @@ def _conv_im2col(x, w, stride, pad):
 
 
 def _conv_kn2row(x, w, pad):
-    """As _conv_im2col for a stride-1 conv with a square kernel, channels
-    first: ``z = W_taps @ x`` has one (Cout, H*W) block per tap, and each
-    tap adds its border-clipped shifted block into the output."""
+    """As _conv_im2col, channels first: ``z = W_taps @ x`` has one
+    (Cout, H*W) block per tap, and each tap adds its border-clipped shifted
+    block into the output."""
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
-    ho, wo = _conv_out_size(h, k, 1, pad), _conv_out_size(wd, k, 1, pad)
+    ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     rows, cols = _tap_windows(h, ho, k, pad), _tap_windows(wd, wo, k, pad)
     x2 = x.reshape(n, cin, h * wd)
     z = (w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin) @ x2).reshape(n, k, k, cout, h, wd)
@@ -511,86 +497,71 @@ def _conv_kn2row(x, w, pad):
     return out, weight_grad
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution. x: (N,C,H,W), w: (Cout,Cin,kh,kw), b: (Cout,)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 2-d convolution with a square k x k kernel, ``0 <= padding
+    < k`` and an input that holds the kernel once padded. x: (N,C,H,W),
+    w: (Cout,Cin,k,k), b: (Cout,)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-d x and w, got {x.shape} and {w.shape}")
-    n, c, h, wd = x.shape
-    cout, cin, kh, kw = w.shape
+    c = x.shape[1]
+    cout, cin, k, kw = w.shape
     if cin != c:
         raise ShapeError(f"conv2d: channel mismatch, x has {c}, w expects {cin}")
-    if b is not None and b.shape != (cout,):
+    if kw != k or not 0 <= padding < k:
+        raise ShapeError(f"conv2d: needs a square kernel and 0 <= padding < k, got {k}x{kw} and {padding}")
+    if min(x.shape[2:]) + 2 * padding < k:
+        raise ShapeError(f"conv2d: a {k}x{k} kernel does not fit input {x.shape[2:]} padded by {padding}")
+    if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
-    if stride == 1 and kh == kw and 4 * cout <= cin:
+    if 4 * cout <= cin:
         out, weight_grad = _conv_kn2row(x.data, w.data, padding)
     else:
-        out, weight_grad = _conv_im2col(x.data, w.data, stride, padding)
-    if b is not None:
-        out += b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
+        out, weight_grad = _conv_im2col(x.data, w.data, padding)
+    out += b.data[None, :, None, None]
 
     def backward(g, x=x, w=w, b=b):
-        grads = [(w, weight_grad(g))]
-        if b is not None:
-            grads.append((b, g.sum(axis=(0, 2, 3))))
-        if not x.requires_grad:
-            return grads
-        if stride == 1 and kh == kw and padding < kh:
+        grads = [(w, weight_grad(g)), (b, g.sum(axis=(0, 2, 3)))]
+        if x.requires_grad:
             # dx is the full correlation of g with the flipped kernel, whose
             # input and output channels swap: one more im2col and GEMM.
-            gcols, _, _ = _im2col(g, kh, kw, 1, kh - 1 - padding)
+            gcols, _, _ = _im2col(g, k, k - 1 - padding)
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            dx = (wf @ gcols).reshape(x.shape)
-        else:
-            dx = _col2im(w.data.reshape(cout, -1).T @ g.reshape(n, cout, -1), x.shape, kh, kw, stride, padding)
-        grads.append((x, dx))
+            grads.append((x, (wf @ gcols).reshape(x.shape)))
         return grads
 
-    return Tensor._result(out, parents, backward, "conv2d")
+    return Tensor._result(out, (x, w, b), backward, "conv2d")
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed 2-d convolution. x: (N,Cin,H,W), w: (Cin,Cout,kh,kw)."""
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Transposed 2-d convolution that upsamples by its square kernel: each
+    input pixel writes one k x k output block (stride k, no padding, no
+    overlap). x: (N,Cin,H,W), w: (Cin,Cout,k,k), b: (Cout,)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv_transpose2d: expects 4-d x and w, got {x.shape} and {w.shape}")
     n, cin, h, wd = x.shape
-    wcin, cout, kh, kw = w.shape
+    wcin, cout, k, kw = w.shape
     if wcin != cin:
         raise ShapeError(f"conv_transpose2d: channel mismatch, x has {cin}, w expects {wcin}")
-    if b is not None and b.shape != (cout,):
+    if kw != k:
+        raise ShapeError(f"conv_transpose2d: needs a square kernel, got {k}x{kw}")
+    if b.shape != (cout,):
         raise ShapeError(f"conv_transpose2d: bias shape {b.shape}, expected ({cout},)")
-    ho = (h - 1) * stride - 2 * padding + kh
-    wo = (wd - 1) * stride - 2 * padding + kw
-    # Windows that tile the output without overlap or padding make col2im a
-    # plain transpose, and im2col of the output gradient its inverse.
-    tiled = stride == kh == kw and padding == 0
-    w2 = w.data.reshape(cin, cout * kh * kw)
+    # The blocks tile the output, so the columns need only a transpose into
+    # place, and the output gradient's columns only the inverse transpose.
+    w2 = w.data.reshape(cin, cout * k * k)
     x2 = x.data.reshape(n, cin, h * wd)
-    cols = w2.T @ x2
-    if tiled:
-        out = cols.reshape(n, cout, kh, kw, h, wd).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, ho, wo)
-    else:
-        out = _col2im(cols, (n, cout, ho, wo), kh, kw, stride, padding)
-    if b is not None:
-        out = out + b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
+    out = (w2.T @ x2).reshape(n, cout, k, k, h, wd).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * k, wd * k)
+    out = out + b.data[None, :, None, None]
 
     def backward(g, x=x, w=w, b=b, w2=w2, x2=x2):
-        # im2col of the output gradient has L == h*wd positions by construction
-        if tiled:
-            gcols = g.reshape(n, cout, h, kh, wd, kw).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * kh * kw, h * wd)
-        else:
-            gcols, _, _ = _im2col(g, kh, kw, stride, padding)
-        grads = [(w, (x2 @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))]
-        if b is not None:
-            grads.append((b, g.sum(axis=(0, 2, 3))))
+        gcols = g.reshape(n, cout, h, k, wd, k).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * k * k, h * wd)
+        dw = (x2 @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        grads = [(w, dw), (b, g.sum(axis=(0, 2, 3)))]
         if x.requires_grad:
             grads.append((x, (w2 @ gcols).reshape(x.shape)))
         return grads
 
-    return Tensor._result(out, parents, backward, "conv_transpose2d")
+    return Tensor._result(out, (x, w, b), backward, "conv_transpose2d")
 
 
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:

@@ -58,6 +58,8 @@ def _int_in(low, high, what):
 
 _positive_int = _int_in(1, float("inf"), "a positive integer")
 _seed = _int_in(0, config_mod.SEED_BOUND, "a seed in [0, 2**32)")
+# train and ablate set seeds.init, .data and .augment to --seed, +1 and +2
+_base_seed = _int_in(0, config_mod.SEED_BOUND - 2, "a seed in [0, 2**32 - 2)")
 
 
 def _image_shape(text):
@@ -178,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--override", action="append", metavar="KEY=VALUE")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="set all three seeds from one base value")
+        p.add_argument("--seed", type=_base_seed, default=None,
+                       help="set seeds.init, .data and .augment to this, +1 and +2")
         p.add_argument("--out-dir", required=True)
         if name == "train":
             p.add_argument("--resume", action="store_true")

@@ -325,18 +325,28 @@ def read_arrays(path):
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
-    arrays = {name: getattr(ds, name) for name in _DATASET_DTYPES}
+    arrays = {name: getattr(ds, name).astype(dtype, copy=False) for name, dtype in _DATASET_DTYPES.items()}
     write_arrays([path], arrays, {"num_classes": int(ds.num_classes)})
 
 
 def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file. Each array must be stored in the dtype
+    ``save_dataset`` writes, and ``num_classes`` must be an integer >= 2."""
     arrays, meta = read_arrays(path)
     try:
-        # astype copies: the dataset owns aligned arrays, not views of the file
-        fields = {name: arrays[name].astype(dtype) for name, dtype in _DATASET_DTYPES.items()}
+        stored = {name: arrays[name] for name in _DATASET_DTYPES}
         num_classes = meta["num_classes"]
     except KeyError as exc:
         raise CorruptHeaderError(f"{path}: not a dataset file, {exc} is missing") from None
+    for name, dtype in _DATASET_DTYPES.items():
+        want = np.dtype(dtype).newbyteorder("<").str
+        if stored[name].dtype.str != want:
+            raise CorruptHeaderError(f"{path}: array {name!r} is stored as {stored[name].dtype.str}, "
+                                     f"expected {want}")
+    if type(num_classes) is not int or num_classes < 2:
+        raise CorruptHeaderError(f"{path}: num_classes must be an integer >= 2, got {num_classes!r}")
+    # astype copies: the dataset owns aligned arrays, not views of the file
+    fields = {name: stored[name].astype(dtype) for name, dtype in _DATASET_DTYPES.items()}
     return LabeledDataset(**fields, num_classes=num_classes)
 
 

@@ -1,11 +1,14 @@
-"""Training objectives: bootstrapped classification, reconstruction, and
-cluster regularization, plus the mixing-weight schedule.
+"""Training objectives: bootstrapped classification (A), reconstruction (B)
+and cluster regularization (C), their sum, and the mixing-weight schedule.
 
-Cluster regularization combines three pieces, reported separately in the
-breakdown: a cross-view consistency cross-entropy, a KL-to-uniform penalty
-on the batch-marginal cluster distribution (small when clusters stay
-balanced), and the per-sample assignment entropy (small when assignments
-are confident). All probabilities are clamped to [1e-12, 1] before any log.
+Cluster regularization combines three pieces, which ``cluster_loss`` also
+returns one by one: a cross-view consistency cross-entropy, a KL-to-uniform
+penalty on the batch-marginal cluster distribution (small when clusters
+stay balanced), and the per-sample assignment entropy (small when
+assignments are confident). All probabilities are clamped to [1e-12, 1]
+before any log. The training loop computes only the enabled terms and
+``total_loss`` adds them in A, B, C order; which terms are enabled is the
+config's ``losses.A/B/C``, read by the loop alone.
 """
 
 from __future__ import annotations
@@ -138,74 +141,13 @@ def bootstrap_loss(log_pred: Tensor, noisy_onehot, alpha: float) -> Tensor:
     return alpha * noisy_ce + (1.0 - alpha) * self_ce
 
 
-@dataclass(frozen=True)
-class LossSwitches:
-    """Which objectives participate: bootstrap (A), reconstruction (B),
-    cluster regularization (C)."""
-
-    bootstrap: bool = True
-    reconstruction: bool = True
-    cluster: bool = True
-
-    def any_enabled(self):
-        return self.bootstrap or self.reconstruction or self.cluster
-
-
-@dataclass
-class LossBreakdown:
-    bootstrap: float
-    reconstruction: float
-    cluster: float
-    cluster_parts: tuple  # (consistency, kl_uniform, cond_entropy)
-    total: float
-    total_tensor: Tensor | None = None
-
-
-def total_loss(parts: dict, switches: LossSwitches) -> LossBreakdown:
-    """Sum the enabled objectives.
-
-    ``parts`` maps "bootstrap" / "reconstruction" / "cluster" to scalar
-    Tensors (cluster may be a ``(tensor, parts_dict)`` pair from
-    ``cluster_loss``). Disabled parts are reported as 0 and excluded from
-    the gradient. At least one switch must be enabled.
-    """
-    if not switches.any_enabled():
-        raise LossInputError("all loss components disabled")
-    terms = []
-    values = {"bootstrap": 0.0, "reconstruction": 0.0, "cluster": 0.0}
-    cluster_parts = (0.0, 0.0, 0.0)
-    for name, enabled in (
-        ("bootstrap", switches.bootstrap),
-        ("reconstruction", switches.reconstruction),
-        ("cluster", switches.cluster),
-    ):
-        if not enabled:
-            continue
-        if name not in parts:
-            raise LossInputError(f"enabled loss part {name!r} was not computed")
-        entry = parts[name]
-        if name == "cluster" and isinstance(entry, tuple):
-            tensor, sub = entry
-            cluster_parts = (
-                float(sub["consistency"].item()),
-                float(sub["kl_uniform"].item()),
-                float(sub["cond_entropy"].item()),
-            )
-        else:
-            tensor = entry
-        terms.append(tensor)
-        values[name] = float(tensor.item())
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return LossBreakdown(
-        bootstrap=values["bootstrap"],
-        reconstruction=values["reconstruction"],
-        cluster=values["cluster"],
-        cluster_parts=cluster_parts,
-        total=float(total.item()),
-        total_tensor=total,
-    )
+def total_loss(terms: dict) -> Tensor:
+    """The sum of the scalar loss terms, as a left fold in the dict's order
+    that starts from the first term: ``(a + b) + c``."""
+    total, *rest = terms.values()
+    for term in rest:
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

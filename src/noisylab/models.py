@@ -139,8 +139,8 @@ class ConvDecoder(Module):
         n = features.shape[0]
         h = linear(features, self.fw, self.fb, relu=True)
         h = h.reshape(n, self.c1, *self.base)
-        h = conv_transpose2d(h, self.tw1, self.tb1, stride=2).relu()
-        h = conv_transpose2d(h, self.tw2, self.tb2, stride=2).relu()
+        h = conv_transpose2d(h, self.tw1, self.tb1).relu()
+        h = conv_transpose2d(h, self.tw2, self.tb2).relu()
         out = conv2d(h, self.pw, self.pb, padding=1).sigmoid()
         return out.reshape((n,) + self.output_shape)
 

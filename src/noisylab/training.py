@@ -36,7 +36,6 @@ from .data import (
 )
 from .losses import (
     AlphaSchedule,
-    LossSwitches,
     alpha_at,
     bootstrap_loss,
     cluster_loss,
@@ -125,7 +124,13 @@ def lr_at(base_lr: float, epoch: int, total_epochs: int, milestones=(0.5, 0.75),
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CKPT_META = ("config_hash", "epoch", "best_acc", "best_epoch")
+# each metadata value's check; bools are ints in Python but never valid here
+_CKPT_META = {
+    "config_hash": lambda v: isinstance(v, str),
+    "epoch": lambda v: type(v) is int and v >= 0,
+    "best_acc": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "best_epoch": lambda v: type(v) is int and v >= -1,
+}
 
 
 class CheckpointError(IOError):
@@ -142,11 +147,15 @@ def save_checkpoint(paths, arrays: dict, config_hash: str, epoch: int, best_acc:
 def load_checkpoint(path):
     try:
         arrays, meta = read_arrays(path)
-        return arrays, {key: meta[key] for key in _CKPT_META}
+        meta = {key: meta[key] for key in _CKPT_META}
     except DatasetFileError as exc:
         raise CheckpointError(str(exc)) from exc
     except KeyError as exc:
         raise CheckpointError(f"{path}: not a checkpoint, {exc} is missing") from None
+    for key, valid in _CKPT_META.items():
+        if not valid(meta[key]):
+            raise CheckpointError(f"{path}: invalid {key} {meta[key]!r}")
+    return arrays, meta
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +171,6 @@ class Experiment:
     models: ModelSet
     optimizer: SgdOptimizer
     policy: AugmentPolicy
-    switches: LossSwitches
     schedule: AlphaSchedule
 
 
@@ -220,12 +228,9 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
     policy = AugmentPolicy(op_pool=tuple(cfg["augment.ops"]),
                            num_ops=cfg["augment.num_ops"],
                            magnitude=cfg["augment.magnitude"])
-    switches = LossSwitches(bootstrap=cfg["losses.A"],
-                            reconstruction=cfg["losses.B"],
-                            cluster=cfg["losses.C"])
     exp = Experiment(cfg=cfg, dataset=ds, train_idx=train_idx, val_idx=val_idx,
                      models=models, optimizer=optimizer, policy=policy,
-                     switches=switches, schedule=build_schedule(cfg))
+                     schedule=build_schedule(cfg))
     if checkpoint is not None:
         state = _ckpt_state(exp)
         missing, extra = state.keys() - checkpoint.keys(), checkpoint.keys() - state.keys()
@@ -284,6 +289,8 @@ class MetricsRecord:
 
 
 METRICS_COLUMNS = [f.name for f in fields(MetricsRecord)]
+# The total, A's, B's, then C's three parts in cluster_loss's order.
+LOSS_COLUMNS = [c for c in METRICS_COLUMNS if c.startswith("loss_")]
 
 
 def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
@@ -302,15 +309,15 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     order = exp.train_idx[shuffle_rng.permutation(len(exp.train_idx))]
 
     batch_size = cfg["train.batch_size"]
-    sums = {"total": 0.0, "bootstrap": 0.0, "rec": 0.0, "R": 0.0, "KL": 0.0, "Hcx": 0.0}
+    sums = dict.fromkeys(LOSS_COLUMNS, 0.0)
     seen = 0
     # Each view is built only when an enabled loss reads it. Augmentation is
     # stateless per (seed, epoch, index), so a skipped view changes no other
     # number.
-    sw = exp.switches
+    use_a, use_b, use_c = cfg["losses.A"], cfg["losses.B"], cfg["losses.C"]
     classify_clean = cfg["losses.classification_view"] == "clean"
-    needs_aug = sw.reconstruction or sw.cluster or (sw.bootstrap and not classify_clean)
-    needs_clean = sw.cluster or (sw.bootstrap and classify_clean)
+    needs_aug = use_b or use_c or (use_a and not classify_clean)
+    needs_clean = use_c or (use_a and classify_clean)
     # Rows are augmented independently: one call over the epoch's order gives
     # each batch the bytes of a call per batch, for one call's fixed cost.
     x_aug_epoch = augment_batch(exp.policy, ds.features[order], cfg["seeds.augment"],
@@ -327,38 +334,39 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         if needs_clean:
             feat_clean = exp.models.backbone(Tensor(x_clean_np))
 
-        parts = {}
-        if sw.bootstrap:
+        # the enabled terms in A, B, C order, each under its metrics.csv
+        # column; C's columns hold its three parts, so its sum goes under
+        # their prefix
+        terms, parts = {}, {}
+        if use_a:
             feats = feat_clean if classify_clean else feat_aug
             log_pred = exp.models.classifier.log_probs(feats)
-            parts["bootstrap"] = bootstrap_loss(log_pred, noisy_onehot[idx], alpha)
-        if sw.reconstruction:
+            terms["loss_bootstrap"] = bootstrap_loss(log_pred, noisy_onehot[idx], alpha)
+        if use_b:
             x_hat = exp.models.decoder(feat_aug)
-            parts["reconstruction"] = reconstruction_loss(x_hat, x_clean_np)
-        if sw.cluster:
+            terms["loss_rec"] = reconstruction_loss(x_hat, x_clean_np)
+        if use_c:
             clean_probs = exp.models.cluster_head(feat_clean)
             aug_probs = exp.models.cluster_head(feat_aug)
-            parts["cluster"] = cluster_loss(clean_probs, aug_probs, cfg["losses.lambda"],
-                                            cfg["losses.block_target_grad"])
+            terms["loss_cluster"], parts = cluster_loss(clean_probs, aug_probs, cfg["losses.lambda"],
+                                                        cfg["losses.block_target_grad"])
 
-        breakdown = total_loss(parts, exp.switches)
-        if not math.isfinite(breakdown.total) or breakdown.total > DIVERGENCE_LIMIT:
+        total = total_loss(terms)
+        tensors = {"loss_total": total, **terms, **dict(zip(LOSS_COLUMNS[3:], parts.values()))}
+        values = {col: tensors[col].item() for col in LOSS_COLUMNS if col in tensors}
+        if not math.isfinite(values["loss_total"]) or values["loss_total"] > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"loss {breakdown.total} at epoch {epoch} exceeds the divergence guard"
+                f"loss {values['loss_total']} at epoch {epoch} exceeds the divergence guard"
             )
 
         exp.models.zero_grad()
-        breakdown.total_tensor.backward()
+        total.backward()
         exp.optimizer.step(lr)
 
         n = len(idx)
         seen += n
-        sums["total"] += breakdown.total * n
-        sums["bootstrap"] += breakdown.bootstrap * n
-        sums["rec"] += breakdown.reconstruction * n
-        sums["R"] += breakdown.cluster_parts[0] * n
-        sums["KL"] += breakdown.cluster_parts[1] * n
-        sums["Hcx"] += breakdown.cluster_parts[2] * n
+        for col, value in values.items():
+            sums[col] += value * n
 
     train_preds = predict_classes(exp.models, ds.features[exp.train_idx])
     val_preds = predict_classes(exp.models, ds.features[exp.val_idx])
@@ -370,12 +378,7 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         epoch=epoch,
         lr=lr,
         alpha=alpha,
-        loss_total=sums["total"] / seen,
-        loss_bootstrap=sums["bootstrap"] / seen,
-        loss_rec=sums["rec"] / seen,
-        loss_cluster_R=sums["R"] / seen,
-        loss_cluster_KL=sums["KL"] / seen,
-        loss_cluster_Hcx=sums["Hcx"] / seen,
+        **{col: s / seen for col, s in sums.items()},
         train_acc_noisy=_accuracy(train_preds, ds.noisy_labels[exp.train_idx]),
         val_acc_clean=_accuracy(val_preds, ds.clean_labels[exp.val_idx]),
         corrupted_subset_acc=_accuracy(corrupted_preds, corrupted_clean),

@@ -16,7 +16,6 @@ from noisylab.autodiff import Tensor, grad_check
 from noisylab.data import NoiseSpec, empirical_transition_matrix, generate_blobs, inject_noise
 from noisylab.export import load_run_models
 from noisylab.losses import (
-    LossSwitches,
     bootstrap_loss,
     cluster_loss,
     conditional_entropy,
@@ -153,12 +152,11 @@ def test_criterion_1_gradient_correctness():
         "bootstrap_alpha_1": lambda t: bootstrap_loss(t.log_softmax(axis=-1), labels, 1.0),
         "total_loss": lambda t: total_loss(
             {
-                "bootstrap": bootstrap_loss(t.log_softmax(axis=-1), labels, 0.5),
-                "cluster": cluster_loss(t.softmax(axis=-1), fixed_probs, lam=0.3,
-                                        block_target_grad=False),
-            },
-            LossSwitches(True, False, True),
-        ).total_tensor,
+                "loss_bootstrap": bootstrap_loss(t.log_softmax(axis=-1), labels, 0.5),
+                "loss_cluster": cluster_loss(t.softmax(axis=-1), fixed_probs, lam=0.3,
+                                             block_target_grad=False)[0],
+            }
+        ),
     }
     shapes = {"reconstruction_loss": (n, 6)}
     worst = {}

@@ -56,6 +56,24 @@ def test_corrupt_writes_noise_and_matrix(tmp_path, capsys):
     assert "transition matrix" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", ["float labels", "num_classes as text"])
+def test_corrupt_rejects_mistyped_dataset(tmp_path, capsys, damage):
+    src = tmp_path / "clean.bin"
+    main(["generate", "--samples", "40", "--classes", "4", "--out", str(src)])
+    arrays, meta = data_mod.read_arrays(src)
+    if damage == "float labels":
+        # casting would truncate these back to the clean labels
+        arrays = {**arrays, "noisy_labels": arrays["noisy_labels"] + 0.7}
+    else:
+        meta = {**meta, "num_classes": "4"}
+    data_mod.write_arrays([src], arrays, meta)
+    code = main(["corrupt", "--input", str(src), "--kind", "symmetric",
+                 "--eps", "0.5", "--out", str(tmp_path / "o.bin")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o.bin").exists()
+
+
 def test_corrupt_missing_file(tmp_path, capsys):
     code = main(["corrupt", "--input", str(tmp_path / "nope.bin"),
                  "--kind", "symmetric", "--eps", "0.5", "--out", str(tmp_path / "o.bin")])
@@ -128,15 +146,34 @@ def test_resume_rejects_config_options(trained_run, capsys, extra):
     assert _run_files(trained_run) == before
 
 
-@pytest.mark.parametrize("damage", ["halved", "trailing bytes"])
+# checkpoint metadata values of the wrong type or range
+META_DAMAGE = {
+    "epoch as text": ("epoch", "2"),
+    "negative epoch": ("epoch", -1),
+    "bool epoch": ("epoch", True),
+    "best_epoch below -1": ("best_epoch", -2),
+    "best_acc as text": ("best_acc", "0.5"),
+    "best_acc nan": ("best_acc", float("nan")),
+    "config_hash not text": ("config_hash", 7),
+}
+
+
+@pytest.mark.parametrize("damage", ["halved", "trailing bytes", *META_DAMAGE])
 def test_resume_rejects_damaged_checkpoint(tmp_path, capsys, damage):
     run = tmp_path / "run"
     assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
     ckpt = run / "checkpoints" / "last.ckpt"
     blob = ckpt.read_bytes()
-    ckpt.write_bytes(blob[: len(blob) // 2] if damage == "halved" else blob + bytes(400))
+    if damage in META_DAMAGE:
+        arrays, meta = data_mod.read_arrays(ckpt)
+        key, value = META_DAMAGE[damage]
+        data_mod.write_arrays([ckpt], arrays, {**meta, key: value})
+        expected = f"invalid {key}"
+    else:
+        ckpt.write_bytes(blob[: len(blob) // 2] if damage == "halved" else blob + bytes(400))
+        expected = "error:"
     assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
-    assert "error:" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -228,14 +265,24 @@ def test_train_rejects_input_before_writing(tmp_path, capsys, overrides):
     ["corrupt", "--input", "ds.bin", "--kind", "symmetric", "--eps", "0.5", "--out", "o.bin", "--seed", "-1"],
     ["train", "--out-dir", "run", "--seed", "4294967296"],
     ["ablate", "--out-dir", "run", "--seed", "-1"],
-], ids=["generate", "corrupt", "train", "ablate"])
+    # train and ablate set seeds.augment to the seed + 2, which must stay below 2**32
+    ["train", "--out-dir", "run", "--seed", "4294967294"],
+    ["ablate", "--out-dir", "run", "--seed", "4294967295"],
+], ids=["generate", "corrupt", "train", "ablate", "train-2**32-2", "ablate-2**32-1"])
 def test_seed_flag_out_of_range(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "argument --seed: expected a seed in [0, 2**32)" in capsys.readouterr().err
+    bound = "2**32 - 2" if argv[0] in ("train", "ablate") else "2**32"
+    assert f"argument --seed: expected a seed in [0, {bound})" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_largest_base_seed_accepted(tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run), "--seed", "4294967293"] + TINY) == EXIT_OK
+    assert "seeds.augment = 4294967295" in (run / "config.txt").read_text()
 
 
 def test_train_reports_divergence(tmp_path, capsys):

@@ -240,6 +240,30 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name,stored", [
+        ("noisy_labels", lambda a: a + 0.7),  # float64 that casts back to the labels
+        ("clean_labels", lambda a: a.astype(np.int64)),
+        ("features", lambda a: a.astype(np.float64)),
+        ("corrupted", lambda a: a.astype(np.uint8)),
+    ], ids=["float-labels", "int64-labels", "float64-features", "uint8-flags"])
+    def test_wrong_array_dtype_rejected(self, tmp_path, name, stored):
+        ds = generate_blobs(8, 2, 2, 1.0, seed=0)
+        arrays = {n: getattr(ds, n) for n in ("features", "clean_labels", "noisy_labels", "corrupted")}
+        arrays[name] = stored(arrays[name])
+        path = tmp_path / "ds.bin"
+        write_arrays([path], arrays, {"num_classes": 2})
+        with pytest.raises(CorruptHeaderError, match=f"array '{name}' is stored as"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("num_classes", ["2", 2.0, True, 1, -2, None])
+    def test_bad_num_classes_rejected(self, tmp_path, num_classes):
+        ds = generate_blobs(8, 2, 2, 1.0, seed=0)
+        path = tmp_path / "ds.bin"
+        write_arrays([path], {n: getattr(ds, n) for n in ("features", "clean_labels", "noisy_labels", "corrupted")},
+                     {"num_classes": num_classes})
+        with pytest.raises(CorruptHeaderError, match="num_classes must be an integer >= 2"):
+            load_dataset(path)
+
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "x.bin"
         write_arrays([path], {"features": np.zeros((2, 3), np.float32)}, {"num_classes": 2})

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import fcntl
 import hashlib
@@ -340,6 +341,25 @@ class TestWiring:
                                    order[lo : lo + size])
                      for lo in range(0, len(order), size)]
         assert whole.tobytes() == np.concatenate(per_batch).tobytes()
+
+    @pytest.mark.parametrize("row", [name for name, *_ in ABLATION_ROWS] + ["B+C"])
+    def test_metrics_loss_columns_follow_enabled_terms(self, tmp_path, row):
+        base = tiny_config(**{"train.epochs": 2, "losses.lambda": 0.5})
+        cfg = config_mod.validate({**base, "losses.A": False}) if row == "B+C" else ablation_row_config(base, row)
+        run_experiment(cfg, tmp_path / "run")
+        with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        enabled = {"loss_bootstrap": cfg["losses.A"], "loss_rec": cfg["losses.B"],
+                   "loss_cluster_R": cfg["losses.C"], "loss_cluster_KL": cfg["losses.C"],
+                   "loss_cluster_Hcx": cfg["losses.C"]}
+        for r in rows:
+            for col, on in enabled.items():
+                assert (r[col] != "0.0") == on, (col, r[col])
+            v = {col: float(r[col]) for col in ("loss_total", *enabled)}
+            want = (v["loss_bootstrap"] + v["loss_rec"] + v["loss_cluster_R"]
+                    + cfg["losses.lambda"] * (v["loss_cluster_KL"] + v["loss_cluster_Hcx"]))
+            assert v["loss_total"] == pytest.approx(want, rel=1e-5)
 
     def test_train_epoch_deterministic(self):
         cfg = tiny_config()
