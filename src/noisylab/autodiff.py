@@ -16,7 +16,9 @@ stride 1, a square k x k kernel and padding below k; a conv_transpose2d
 upsamples by its square kernel (stride k, no padding, no overlap); max
 pooling is non-overlapping. Convolutions are matrix products: through an
 im2col unfold, or, for a conv that narrows the channel count, channels
-first with no unfold (see the spatial operators). No GPU, no broadcasting
+first with no unfold (see the spatial operators). Max pooling, when it
+records the graph, keeps each window's first-max slot in one byte, and its
+backward scatters the gradient once. No GPU, no broadcasting
 beyond bias-style shapes. A fused node runs the same numpy operations, in
 the same order and dtype, as the chain of single ops it stands for, so its
 outputs and gradients are bit for bit theirs. An operand that needs no
@@ -564,29 +566,55 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(out, (x, w, b), backward, "conv_transpose2d")
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_index(h, w, k):
+    """Flat positions in an (h, w) image: each k x k window's first
+    element, row-major, and each slot's offset from it."""
+    base = (np.arange(h // k)[:, None] * (k * w) + np.arange(w // k) * k).reshape(-1).astype(np.intp)
+    offsets = np.array([s // k * w + s % k for s in range(k * k)], dtype=np.intp)
+    base.flags.writeable = offsets.flags.writeable = False
+    return base, offsets
+
+
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
     """Non-overlapping max pooling. The gradient of a window goes to its
-    first maximal element in row-major order."""
+    first maximal element in row-major order (argmax's tie rule), a slot
+    the forward pass records; a window whose max is NaN passes none."""
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"max_pool2d: spatial dims {h}x{w} not divisible by {k}")
     views = [x.data[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    # keep this chain as it is: it decides which zero a -0.0/+0.0 tie outputs
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(out, v, out=out)
+    if not (_recording and x.requires_grad):
+        return Tensor._result(out, (x,), None, "max_pool2d")
+    # The slot counts the window's leading elements that differ from its
+    # max. One that matches none of its first k*k - 1 holds the max in its
+    # last, unless the max is NaN, which equals no element: slot k*k.
+    differs = np.ones(out.shape, dtype=bool)
+    slot = np.zeros(out.shape, dtype=np.min_scalar_type(k * k))
+    for v in views[:-1]:
+        differs &= v != out
+        slot += differs
+    slot += np.isnan(out)
 
-    def backward(g, x=x, views=views, out=out):
-        # g goes to the first slot equal to the max, argmax's tie rule; the
-        # other slots get +0.0 (g * mask would give -0.0 where g < 0).
-        dx = np.empty((n, c, h // k, k, w // k, k), dtype=g.dtype)
-        free = np.ones(out.shape, dtype=bool)
-        for s, v in enumerate(views):
-            hit = (v == out) & free
-            dx[:, :, :, s // k, :, s % k] = np.where(hit, g, 0)
-            free &= ~hit
-        return ((x, dx.reshape(x.shape)),)
+    def backward(g, x=x, slot=slot):
+        # g scattered once into zeros, so the other slots stay +0.0 (g *
+        # mask would give -0.0 where g < 0). Slot k*k is offset past the
+        # end and clamped onto one spare cell.
+        base, offsets = _pool_index(h, w, k)
+        size = x.data.size
+        pos = np.append(offsets, size).take(slot.reshape(n * c, -1))
+        pos += base
+        pos += np.arange(0, size, h * w)[:, None]
+        np.minimum(pos, size, out=pos)
+        dx = np.zeros(size + 1, dtype=g.dtype)
+        dx[pos] = g.reshape(pos.shape)
+        return ((x, dx[:-1].reshape(x.shape)),)
 
     return Tensor._result(out, (x,), backward, "max_pool2d")
 

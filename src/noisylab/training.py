@@ -155,6 +155,13 @@ def load_checkpoint(path):
     for key, valid in _CKPT_META.items():
         if not valid(meta[key]):
             raise CheckpointError(f"{path}: invalid {key} {meta[key]!r}")
+    # before the first epoch nothing is best yet; after it, the best is an
+    # earlier epoch's accuracy
+    epoch, best_epoch, best_acc = meta["epoch"], meta["best_epoch"], meta["best_acc"]
+    if not (epoch == 0 and best_epoch == -1 and best_acc == -1.0
+            or 0 <= best_epoch < epoch and 0 <= best_acc <= 1):
+        raise CheckpointError(f"{path}: invalid best_epoch {best_epoch} with best_acc {best_acc!r} "
+                              f"at epoch {epoch}")
     return arrays, meta
 
 

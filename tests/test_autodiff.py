@@ -450,10 +450,14 @@ class TestKernelsMatchOracle:
         x = rng.choice(np.array(values, dtype=np.float32), size=shape)
         xt = Tensor(x, requires_grad=True)
         out = max_pool2d(xt, 2)
+        # an upstream zero reaches its slot with its sign
         g = rng.standard_normal(out.shape).astype(np.float32)
+        g[rng.random(out.shape) < 0.2] = -0.0
+        g[rng.random(out.shape) < 0.2] = 0.0
         (out * Tensor(g)).sum().backward()
         want_out, want_grad = _oracle_max_pool2d(x, 2)
         assert xt.grad.tobytes() == want_grad(g).tobytes()
+        assert np.signbit(xt.grad[xt.grad == 0]).any()
         if zeros == "negative":
             assert out.data.tobytes() == want_out.tobytes()
         else:
@@ -463,6 +467,30 @@ class TestKernelsMatchOracle:
     def test_max_pool_propagates_nan(self):
         x = np.array([[[[1.0, np.nan], [3.0, 2.0]]]], dtype=np.float32)
         assert np.isnan(max_pool2d(Tensor(x), 2).data).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_pool_nan_window_passes_no_gradient(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((3, 2, 3 * k, 2 * k)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3 / k**2] = np.nan
+        nan_windows = np.isnan(x).reshape(3, 2, 3, k, 2, k).any(axis=(3, 5))
+        assert nan_windows.any() and not nan_windows.all()
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt, k)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        _, want_grad = _oracle_max_pool2d(x, k)
+        in_nan_window = np.repeat(np.repeat(nan_windows, k, axis=2), k, axis=3)
+        assert (np.isnan(out.data) == nan_windows).all()
+        assert xt.grad.tobytes() == np.where(in_nan_window, np.float32(0), want_grad(g)).tobytes()
+
+    def test_max_pool_under_no_grad(self):
+        x = np.random.default_rng(5).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        recorded = max_pool2d(Tensor(x, requires_grad=True), 2)
+        with no_grad():
+            out = max_pool2d(Tensor(x, requires_grad=True), 2)
+        assert out._backward is None and not out.requires_grad
+        assert out.data.tobytes() == recorded.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

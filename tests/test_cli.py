@@ -146,15 +146,17 @@ def test_resume_rejects_config_options(trained_run, capsys, extra):
     assert _run_files(trained_run) == before
 
 
-# checkpoint metadata values of the wrong type or range
+# metadata rewrites of a finished 2-epoch run, and the key named in the error
 META_DAMAGE = {
-    "epoch as text": ("epoch", "2"),
-    "negative epoch": ("epoch", -1),
-    "bool epoch": ("epoch", True),
-    "best_epoch below -1": ("best_epoch", -2),
-    "best_acc as text": ("best_acc", "0.5"),
-    "best_acc nan": ("best_acc", float("nan")),
-    "config_hash not text": ("config_hash", 7),
+    "epoch as text": ({"epoch": "2"}, "epoch"),
+    "negative epoch": ({"epoch": -1}, "epoch"),
+    "bool epoch": ({"epoch": True}, "epoch"),
+    "best_epoch below -1": ({"best_epoch": -2}, "best_epoch"),
+    "best_acc as text": ({"best_acc": "0.5"}, "best_acc"),
+    "best_acc nan": ({"best_acc": float("nan")}, "best_acc"),
+    "config_hash not text": ({"config_hash": 7}, "config_hash"),
+    "best after the last epoch": ({"best_epoch": 7, "best_acc": 3.5}, "best_epoch"),
+    "no best after epoch 2": ({"best_epoch": -1}, "best_epoch"),
 }
 
 
@@ -166,8 +168,8 @@ def test_resume_rejects_damaged_checkpoint(tmp_path, capsys, damage):
     blob = ckpt.read_bytes()
     if damage in META_DAMAGE:
         arrays, meta = data_mod.read_arrays(ckpt)
-        key, value = META_DAMAGE[damage]
-        data_mod.write_arrays([ckpt], arrays, {**meta, key: value})
+        changes, key = META_DAMAGE[damage]
+        data_mod.write_arrays([ckpt], arrays, {**meta, **changes})
         expected = f"invalid {key}"
     else:
         ckpt.write_bytes(blob[: len(blob) // 2] if damage == "halved" else blob + bytes(400))
