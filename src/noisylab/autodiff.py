@@ -7,22 +7,22 @@ gradients into every reachable tensor with ``requires_grad=True``. Inside
 ``no_grad()`` no graph is recorded, for passes whose results are only read.
 
 The operator catalog is exactly what the small models and losses need:
-``linear`` (matmul, bias add and an optional relu as one node), matmul,
-broadcasting add/sub/mul, neg, relu, sigmoid, square, a log clamped to
-probabilities, sum/mean, softmax/log-softmax, reshape, 2-d convolution,
-transposed convolution and max pooling. The spatial operators take only the
-shapes the models use, and any other shape raises ShapeError: a conv2d has
-stride 1, a square k x k kernel and padding below k; a conv_transpose2d
-upsamples by its square kernel (stride k, no padding, no overlap); max
-pooling is non-overlapping. Convolutions are matrix products: through an
-im2col unfold, or, for a conv that narrows the channel count, channels
-first with no unfold (see the spatial operators). Max pooling, when it
-records the graph, keeps each window's first-max slot in one byte, and its
-backward scatters the gradient once. No GPU, no broadcasting
-beyond bias-style shapes. A fused node runs the same numpy operations, in
-the same order and dtype, as the chain of single ops it stands for, so its
-outputs and gradients are bit for bit theirs. An operand that needs no
-gradient gets none computed.
+``linear``, ``conv2d`` and ``conv_transpose2d`` (each a product, bias add
+and optional relu as one node), matmul, broadcasting add/sub/mul, neg,
+sigmoid, square, a log clamped to probabilities, sum/mean,
+softmax/log-softmax, reshape, transpose and max pooling. The spatial
+operators take channels-last (N, H, W, C) activations and only the shapes
+the models use; any other shape raises ShapeError: a conv2d has stride 1, a
+square k x k kernel and padding below k; a conv_transpose2d upsamples by its
+square kernel (stride k, no padding, no overlap); max pooling is
+non-overlapping. Each direction of a convolution is one matrix product over
+the whole batch (see the spatial operators). Max pooling, when it records
+the graph, keeps each window's first-max slot in one byte, and its backward
+scatters the gradient once. No GPU, no broadcasting beyond bias-style
+shapes. A fused node runs the same numpy operations, in the same order and
+dtype, as the chain of single ops it stands for, so its outputs and
+gradients are bit for bit theirs. An operand that needs no gradient gets
+none computed.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
 (gradient checking needs it).
@@ -254,14 +254,6 @@ class Tensor:
     __matmul__ = matmul
 
     # -- elementwise nonlinearities ---------------------------------------
-    def relu(self):
-        mask = self.data > 0
-
-        def backward(g, a=self, m=mask):
-            return ((a, g * m),)
-
-        return Tensor._result(self.data * mask, (self,), backward, "relu")
-
     def sigmoid(self):
         # exp overflow for very negative inputs saturates to exactly 0, which
         # is the correct limit; suppress the spurious warning.
@@ -321,6 +313,15 @@ class Tensor:
             return ((a, g.reshape(a.shape)),)
 
         return Tensor._result(data, (self,), backward, "reshape")
+
+    def transpose(self, *axes):
+        """The axes permuted as ``np.transpose`` does; every axis is named."""
+        inverse = tuple(np.argsort(axes))
+
+        def backward(g, a=self):
+            return ((a, g.transpose(inverse)),)
+
+        return Tensor._result(self.data.transpose(axes), (self,), backward, "transpose")
 
     # -- softmax family ----------------------------------------------------
     def softmax(self, axis=-1):
@@ -400,49 +401,56 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Spatial operators. A convolution (stride 1, square k x k kernel, padding
-# below k) is one matrix product per layer, in one of two forms chosen by
-# its channel counts:
-# - im2col: unfold the input into (C*k*k, Ho*Wo) columns and multiply by
-#   the (Cout, C*k*k) weights. Chellapilla, Puri and Simard, "High
-#   Performance Convolutional Neural Networks for Document Processing", 2006.
+# Spatial operators. Activations are channels-last, (N, H, W, C), so each
+# pixel's channels are one contiguous vector; the weights keep their
+# (Cout, Cin, k, k) layout, and (Cin, Cout, k, k) for a transposed conv.
+# Each direction of a convolution (stride 1, square k x k kernel, padding
+# below k) is one matrix product over the whole batch, in one of two forms
+# chosen by its channel counts:
+# - im2col: gather each output pixel's k*k input channel vectors into one
+#   row, (N*Ho*Wo, k*k*C) for the batch, and multiply by the (k*k*C, Cout)
+#   weights. Chellapilla, Puri and Simard, 2006; Georganas et al., "Anatomy
+#   of High-Performance Deep Learning Convolutions on SIMD Architectures".
 # - kn2row, for a conv with at most a quarter as many output as input
 #   channels: multiply the input by every tap's weights first, then add the
 #   k*k shifted products. Anderson, Vasudevan, Keane and Gregg, "Low-memory
 #   GEMM-based convolution algorithms for deep neural networks", 2017. Its
-#   product has k*k*Cout rows where im2col's columns have k*k*C, so it wins
-#   when Cout is small (8->1 at 12x12: ~0.3 ms against ~1.1 ms for 64 rows)
-#   and loses as Cout nears C.
+#   product is k*k*Cout wide where im2col's is k*k*C, so it wins when Cout
+#   is small (8->1 at 12x12, batch 64, forward and weight gradient: ~0.28
+#   ms against ~0.37 ms) and loses as Cout nears C.
+# A bias gradient is a ones-vector product with the (rows, Cout) output
+# gradient, which BLAS runs about ten times as fast as numpy's sum over
+# rows on the desk layers (18 against 224 us for the first one).
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
 def _gather_index(hp, wp, k):
-    """Flat positions in an (hp, wp) image read by each (kernel tap, output
-    pixel) pair: row ``i * k + j`` holds tap (i, j) for every output pixel."""
-    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1, 1)
-    pixels = (np.arange(hp - k + 1)[:, None] * wp + np.arange(wp - k + 1)).reshape(1, -1)
-    idx = (taps + pixels).astype(np.intp)
+    """Flat pixel positions in an (hp, wp) image read by each (output
+    pixel, kernel tap) pair: row ``p`` holds output pixel p's taps, tap
+    (i, j) in column ``i * k + j``."""
+    pixels = (np.arange(hp - k + 1)[:, None] * wp + np.arange(wp - k + 1)).reshape(-1, 1)
+    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(1, -1)
+    idx = (pixels + taps).astype(np.intp)
     idx.flags.writeable = False
     return idx
 
 
 def _im2col(x, k, pad):
-    """(N, C, H, W) -> (N, C*k*k, Ho*Wo) columns, channel-major like the
-    (Cout, C, k, k) weight layout."""
-    n, c, h, w = x.shape
+    """(N, H, W, C) -> (N*Ho*Wo, k*k*C) rows, one per output pixel, in the
+    (i, j, c) order of the weights' (k, k, Cin) axes."""
+    n, h, w, c = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1
     xp = x
     if pad:
-        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    # np.take returns a contiguous (N, C, k*k, L) array, so the reshape
-    # below is a view; fancy indexing xp[:, :, idx] would copy it again.
-    # Every index lies in [0, hp*wp) by construction, so "wrap" never wraps;
-    # it only skips the per-element bounds check of the default "raise".
+        xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
+    # np.take copies whole channel vectors into a contiguous (N, Ho*Wo,
+    # k*k, C) array, so the reshape below is a view. Every index lies in
+    # [0, hp*wp) by construction, so "wrap" never wraps; it only skips the
+    # per-element bounds check of the default "raise".
     idx = _gather_index(hp, wp, k)
-    cols = np.take(xp.reshape(n, c, hp * wp), idx, axis=2, mode="wrap")
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+    cols = np.take(xp.reshape(n, hp * wp, c), idx, axis=1, mode="wrap")
+    return cols.reshape(-1, k * k * c), hp - k + 1, wp - k + 1
 
 
 def _tap_windows(size, out_size, k, pad):
@@ -460,87 +468,107 @@ def _tap_windows(size, out_size, k, pad):
 def _conv_im2col(x, w, pad):
     """The conv output without bias, by im2col, and the weight gradient as
     a function of the output gradient."""
-    n = x.shape[0]
-    cout, _, k, _ = w.shape
+    cout, cin, k, _ = w.shape
     cols, ho, wo = _im2col(x, k, pad)
-    out = (w.reshape(cout, -1) @ cols).reshape(n, cout, ho, wo)
+    out = (cols @ w.transpose(2, 3, 1, 0).reshape(-1, cout)).reshape(len(x), ho, wo, cout)
 
     def weight_grad(g):
-        return (g.reshape(n, cout, ho * wo) @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
 
     return out, weight_grad
 
 
 def _conv_kn2row(x, w, pad):
-    """As _conv_im2col, channels first: ``z = W_taps @ x`` has one
-    (Cout, H*W) block per tap, and each tap adds its border-clipped shifted
-    block into the output."""
-    n, cin, h, wd = x.shape
+    """As _conv_im2col, taps first: ``z = W_taps @ x.T`` has one (Cout,
+    N*H*W) block per tap, and each tap adds its border-clipped shifted block
+    into the output. The tap-major blocks keep those adds contiguous when
+    Cout is 1."""
+    n, h, wd, cin = x.shape
     cout, _, k, _ = w.shape
     ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     rows, cols = _tap_windows(h, ho, k, pad), _tap_windows(wd, wo, k, pad)
-    x2 = x.reshape(n, cin, h * wd)
-    z = (w.transpose(2, 3, 0, 1).reshape(k * k * cout, cin) @ x2).reshape(n, k, k, cout, h, wd)
-    out = np.zeros((n, cout, ho, wo), dtype=z.dtype)
+    x2 = x.reshape(-1, cin)
+    z = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ x2.T).reshape(k, k, cout, n, h, wd)
+    out = np.zeros((cout, n, ho, wo), dtype=z.dtype)
     for i, yo, yi in rows:
         for j, xo, xi in cols:
-            out[:, :, yo, xo] += z[:, i, j, :, yi, xi]
+            out[:, :, yo, xo] += z[i, j, :, :, yi, xi]
 
     def weight_grad(g):
         # each tap's copy of g, shifted onto the input pixels it read and
         # zero where it read padding, against x
-        gs = np.zeros((n, k, k, cout, h, wd), dtype=g.dtype)
+        gt = g.transpose(3, 0, 1, 2)
+        gs = np.zeros((k, k, cout, n, h, wd), dtype=g.dtype)
         for i, yo, yi in rows:
             for j, xo, xi in cols:
-                gs[:, i, j, :, yi, xi] = g[:, :, yo, xo]
-        dw = (gs.reshape(n, k * k * cout, h * wd) @ x2.transpose(0, 2, 1)).sum(axis=0)
-        return dw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
+                gs[i, j, :, :, yi, xi] = gt[:, :, yo, xo]
+        return (gs.reshape(k * k * cout, -1) @ x2).reshape(k, k, cout, cin).transpose(2, 3, 0, 1)
 
-    return out, weight_grad
+    return np.ascontiguousarray(out.transpose(1, 2, 3, 0)), weight_grad
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
+def _bias_relu(z, b, relu):
+    """Add the bias to a contiguous (N, H, W, C) ``z`` in place, then relu
+    if asked, as ``linear`` does; returns the relu mask, or None. The bias
+    is tiled along image rows, so numpy's inner loop runs over W*C elements
+    rather than over the C channels alone."""
+    z.reshape(z.shape[0], z.shape[1], -1)[...] += np.tile(b, z.shape[2])
+    if not relu:
+        return None
+    mask = z > 0
+    z *= mask
+    return mask
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int = 0, relu: bool = False) -> Tensor:
     """Stride-1 2-d convolution with a square k x k kernel, ``0 <= padding
-    < k`` and an input that holds the kernel once padded. x: (N,C,H,W),
-    w: (Cout,Cin,k,k), b: (Cout,)."""
+    < k`` and an input that holds the kernel once padded, plus the bias and
+    then ``relu`` if asked, as one node. x: (N,H,W,C), w: (Cout,Cin,k,k),
+    b: (Cout,); the output is (N,Ho,Wo,Cout)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-d x and w, got {x.shape} and {w.shape}")
-    c = x.shape[1]
+    c = x.shape[3]
     cout, cin, k, kw = w.shape
     if cin != c:
         raise ShapeError(f"conv2d: channel mismatch, x has {c}, w expects {cin}")
     if kw != k or not 0 <= padding < k:
         raise ShapeError(f"conv2d: needs a square kernel and 0 <= padding < k, got {k}x{kw} and {padding}")
-    if min(x.shape[2:]) + 2 * padding < k:
-        raise ShapeError(f"conv2d: a {k}x{k} kernel does not fit input {x.shape[2:]} padded by {padding}")
+    if min(x.shape[1:3]) + 2 * padding < k:
+        raise ShapeError(f"conv2d: a {k}x{k} kernel does not fit input {x.shape[1:3]} padded by {padding}")
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
-    if 4 * cout <= cin:
-        out, weight_grad = _conv_kn2row(x.data, w.data, padding)
-    else:
-        out, weight_grad = _conv_im2col(x.data, w.data, padding)
-    out += b.data[None, :, None, None]
+    conv = _conv_kn2row if 4 * cout <= cin else _conv_im2col
+    out, weight_grad = conv(x.data, w.data, padding)
+    mask = _bias_relu(out, b.data, relu)
 
-    def backward(g, x=x, w=w, b=b):
-        grads = [(w, weight_grad(g)), (b, g.sum(axis=(0, 2, 3)))]
+    def backward(g, x=x, w=w, b=b, mask=mask):
+        if mask is not None:
+            g = g * mask
+        grads = []
+        if b.requires_grad:
+            grads.append((b, np.ones(g.size // cout, g.dtype) @ g.reshape(-1, cout)))
+        if w.requires_grad:
+            grads.append((w, weight_grad(g)))
         if x.requires_grad:
             # dx is the full correlation of g with the flipped kernel, whose
             # input and output channels swap: one more im2col and GEMM.
             gcols, _, _ = _im2col(g, k, k - 1 - padding)
-            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            grads.append((x, (wf @ gcols).reshape(x.shape)))
+            wf = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
+            grads.append((x, (gcols @ wf).reshape(x.shape)))
         return grads
 
     return Tensor._result(out, (x, w, b), backward, "conv2d")
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """Transposed 2-d convolution that upsamples by its square kernel: each
     input pixel writes one k x k output block (stride k, no padding, no
-    overlap). x: (N,Cin,H,W), w: (Cin,Cout,k,k), b: (Cout,)."""
+    overlap), plus the bias and then ``relu`` if asked, as one node.
+    x: (N,H,W,Cin), w: (Cin,Cout,k,k), b: (Cout,); the output is
+    (N,H*k,W*k,Cout)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv_transpose2d: expects 4-d x and w, got {x.shape} and {w.shape}")
-    n, cin, h, wd = x.shape
+    n, h, wd, cin = x.shape
     wcin, cout, k, kw = w.shape
     if wcin != cin:
         raise ShapeError(f"conv_transpose2d: channel mismatch, x has {cin}, w expects {wcin}")
@@ -548,44 +576,53 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"conv_transpose2d: needs a square kernel, got {k}x{kw}")
     if b.shape != (cout,):
         raise ShapeError(f"conv_transpose2d: bias shape {b.shape}, expected ({cout},)")
-    # The blocks tile the output, so the columns need only a transpose into
-    # place, and the output gradient's columns only the inverse transpose.
-    w2 = w.data.reshape(cin, cout * k * k)
-    x2 = x.data.reshape(n, cin, h * wd)
-    out = (w2.T @ x2).reshape(n, cout, k, k, h, wd).transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * k, wd * k)
-    out = out + b.data[None, :, None, None]
+    # One GEMM gives every input pixel its (k, k, Cout) block. The blocks
+    # tile the output, so one transposing copy puts them in place; the
+    # backward undoes it with one more copy.
+    x2 = x.data.reshape(-1, cin)
+    wm = w.data.transpose(0, 2, 3, 1).reshape(cin, -1)
+    blocks = (x2 @ wm).reshape(n, h, wd, k, k, cout).transpose(0, 1, 3, 2, 4, 5)
+    z = blocks.copy().reshape(n, h * k, wd * k, cout)
+    mask = _bias_relu(z, b.data, relu)
 
-    def backward(g, x=x, w=w, b=b, w2=w2, x2=x2):
-        gcols = g.reshape(n, cout, h, k, wd, k).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * k * k, h * wd)
-        dw = (x2 @ gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        grads = [(w, dw), (b, g.sum(axis=(0, 2, 3)))]
+    def backward(g, x=x, w=w, b=b, mask=mask):
+        if mask is not None:
+            g = g * mask
+        gcols = g.reshape(n, h, k, wd, k, cout).transpose(0, 1, 3, 2, 4, 5).reshape(len(x2), -1)
+        grads = []
+        if b.requires_grad:
+            grads.append((b, np.ones(g.size // cout, g.dtype) @ g.reshape(-1, cout)))
+        if w.requires_grad:
+            grads.append((w, (x2.T @ gcols).reshape(cin, k, k, cout).transpose(0, 3, 1, 2)))
         if x.requires_grad:
-            grads.append((x, (w2 @ gcols).reshape(x.shape)))
+            grads.append((x, (gcols @ wm.T).reshape(x.shape)))
         return grads
 
-    return Tensor._result(out, (x, w, b), backward, "conv_transpose2d")
+    return Tensor._result(z, (x, w, b), backward, "conv_transpose2d")
 
 
 @functools.lru_cache(maxsize=64)
-def _pool_index(h, w, k):
-    """Flat positions in an (h, w) image: each k x k window's first
-    element, row-major, and each slot's offset from it."""
-    base = (np.arange(h // k)[:, None] * (k * w) + np.arange(w // k) * k).reshape(-1).astype(np.intp)
-    offsets = np.array([s // k * w + s % k for s in range(k * k)], dtype=np.intp)
+def _pool_index(h, w, c, k):
+    """Flat positions in an (h, w, c) image: each k x k window's first
+    element, in output order, and each slot's offset from it."""
+    corners = np.arange(h // k)[:, None] * (k * w) + np.arange(w // k) * k
+    base = (corners[..., None] * c + np.arange(c)).reshape(-1).astype(np.intp)
+    offsets = np.array([(s // k * w + s % k) * c for s in range(k * k)], dtype=np.intp)
     base.flags.writeable = offsets.flags.writeable = False
     return base, offsets
 
 
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping max pooling. The gradient of a window goes to its
-    first maximal element in row-major order (argmax's tie rule), a slot
-    the forward pass records; a window whose max is NaN passes none."""
+    """Non-overlapping max pooling of an (N,H,W,C) input. The gradient of a
+    window goes to its first maximal element in row-major order (argmax's
+    tie rule), a slot the forward pass records; a window whose max is NaN
+    passes none."""
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expects 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if h % k or w % k:
         raise ShapeError(f"max_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    views = [x.data[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    views = [x.data[:, i::k, j::k] for i in range(k) for j in range(k)]
     # keep this chain as it is: it decides which zero a -0.0/+0.0 tie outputs
     out = views[0].copy()
     for v in views[1:]:
@@ -606,11 +643,11 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
         # g scattered once into zeros, so the other slots stay +0.0 (g *
         # mask would give -0.0 where g < 0). Slot k*k is offset past the
         # end and clamped onto one spare cell.
-        base, offsets = _pool_index(h, w, k)
+        base, offsets = _pool_index(h, w, c, k)
         size = x.data.size
-        pos = np.append(offsets, size).take(slot.reshape(n * c, -1))
+        pos = np.append(offsets, size).take(slot.reshape(n, -1))
         pos += base
-        pos += np.arange(0, size, h * w)[:, None]
+        pos += np.arange(0, size, h * w * c)[:, None]
         np.minimum(pos, size, out=pos)
         dx = np.zeros(size + 1, dtype=g.dtype)
         dx[pos] = g.reshape(pos.shape)

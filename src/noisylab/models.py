@@ -57,7 +57,8 @@ class MlpBackbone(Module):
 
 
 class ConvBackbone(Module):
-    """Three conv blocks with pooling, then a linear projection to d."""
+    """Three conv blocks with pooling, channels last, then a linear
+    projection to d."""
 
     def __init__(self, input_shape, feature_dim: int, specs: list, channels=(8, 16, 32)):
         super().__init__(specs)
@@ -77,11 +78,12 @@ class ConvBackbone(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         n = x.shape[0]
-        img = x.reshape(n, 1, *self.input_shape)
-        h = max_pool2d(conv2d(img, self.cw1, self.cb1, padding=1).relu(), 2)
-        h = max_pool2d(conv2d(h, self.cw2, self.cb2, padding=1).relu(), 2)
-        h = conv2d(h, self.cw3, self.cb3, padding=1).relu()
-        return linear(h.reshape(n, -1), self.fw, self.fb, relu=True)
+        img = x.reshape(n, *self.input_shape, 1)
+        h = max_pool2d(conv2d(img, self.cw1, self.cb1, padding=1, relu=True), 2)
+        h = max_pool2d(conv2d(h, self.cw2, self.cb2, padding=1, relu=True), 2)
+        h = conv2d(h, self.cw3, self.cb3, padding=1, relu=True)
+        # flattened channels first, the order fw's rows were trained in
+        return linear(h.transpose(0, 3, 1, 2).reshape(n, -1), self.fw, self.fb, relu=True)
 
 
 class SoftmaxHead(Module):
@@ -138,9 +140,10 @@ class ConvDecoder(Module):
     def __call__(self, features: Tensor) -> Tensor:
         n = features.shape[0]
         h = linear(features, self.fw, self.fb, relu=True)
-        h = h.reshape(n, self.c1, *self.base)
-        h = conv_transpose2d(h, self.tw1, self.tb1).relu()
-        h = conv_transpose2d(h, self.tw2, self.tb2).relu()
+        # fw's columns lift channels first; the convs read channels last
+        h = h.reshape(n, self.c1, *self.base).transpose(0, 2, 3, 1)
+        h = conv_transpose2d(h, self.tw1, self.tb1, relu=True)
+        h = conv_transpose2d(h, self.tw2, self.tb2, relu=True)
         out = conv2d(h, self.pw, self.pb, padding=1).sigmoid()
         return out.reshape((n,) + self.output_shape)
 

@@ -9,6 +9,7 @@ than from mutable RNG state, which makes checkpoint resume exact.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import json
 import math
@@ -499,11 +500,17 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
     nothing; if the summary is missing, it is rebuilt from the last row of
     metrics.csv. Without ``resume``, a directory that already holds a run
     (a config.txt) is refused with FileExistsError before any of its files
-    is written. ``stop_after`` stops cleanly after that many additional epochs
-    (used to exercise resume).
+    is written. A resume of a directory without a config.txt raises
+    FileNotFoundError and creates nothing. ``stop_after`` stops cleanly
+    after that many additional epochs (used to exercise resume).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not resume:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    elif not (out_dir / "config.txt").is_file():
+        # checked before the lock, whose file would be the first thing a
+        # resume creates
+        raise FileNotFoundError(errno.ENOENT, "no run to resume", str(out_dir / "config.txt"))
     ckpt_dir = out_dir / "checkpoints"
     metrics_path = out_dir / "metrics.csv"
 

@@ -1,3 +1,4 @@
+import functools
 import zlib
 from collections import Counter
 
@@ -28,14 +29,20 @@ def _zeros(n):
     return t64(np.zeros(n))
 
 
+def _bias(n):
+    """A float64 bias of n channels, some of each sign, for relu cases."""
+    return t64(np.linspace(-0.5, 0.5, n))
+
+
 class TestForwardOps:
     def test_softmax_symmetry(self):
         out = Tensor([0.0, 0.0]).softmax()
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
-    def test_relu(self):
-        out = Tensor([-1.0, 2.0]).relu()
-        np.testing.assert_array_equal(out.data, [0.0, 2.0])
+    def test_transpose_permutes_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = t64(x).transpose(2, 0, 1)
+        np.testing.assert_array_equal(out.data, x.transpose(2, 0, 1))
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(3)
@@ -59,21 +66,28 @@ class TestForwardOps:
                              ids=["non-square", "pad-eq-k", "pad-gt-k", "1x1-pad1", "negative-pad"])
     def test_conv2d_rejects_other_shapes(self, wshape, padding):
         with pytest.raises(ShapeError, match="conv2d: needs a square kernel"):
-            conv2d(Tensor(np.zeros((1, 1, 6, 6))), Tensor(np.zeros(wshape)), _zeros(2), padding=padding)
+            conv2d(Tensor(np.zeros((1, 6, 6, 1))), Tensor(np.zeros(wshape)), _zeros(2), padding=padding)
 
     def test_conv2d_rejects_input_smaller_than_kernel(self):
         with pytest.raises(ShapeError, match="a 5x5 kernel does not fit input"):
-            conv2d(Tensor(np.zeros((1, 1, 6, 2))), Tensor(np.zeros((1, 1, 5, 5))), _zeros(1), padding=1)
+            conv2d(Tensor(np.zeros((1, 6, 2, 1))), Tensor(np.zeros((1, 1, 5, 5))), _zeros(1), padding=1)
 
     def test_conv_transpose2d_rejects_non_square_kernel(self):
         with pytest.raises(ShapeError, match="conv_transpose2d: needs a square kernel"):
-            conv_transpose2d(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((2, 1, 2, 3))), _zeros(1))
+            conv_transpose2d(Tensor(np.zeros((1, 3, 3, 2))), Tensor(np.zeros((2, 1, 2, 3))), _zeros(1))
+
+    def test_conv2d_reads_channels_last(self):
+        # a (1, 2, 2, 3) input holds 3 channels; as (N, C, H, W) it would
+        # hold 2, which the (4, 3, 1, 1) weights reject
+        out = conv2d(Tensor(np.ones((1, 2, 2, 3))), Tensor(np.ones((4, 3, 1, 1))), _zeros(4))
+        assert out.shape == (1, 2, 2, 4)
+        np.testing.assert_array_equal(out.data, 3.0)
 
     def test_conv_transpose2d_upsamples_by_kernel(self):
         # stride k, no padding: every input pixel writes its own k x k block
-        x = np.arange(4.0).reshape(1, 1, 2, 2)
+        x = np.arange(4.0).reshape(1, 2, 2, 1)
         out = conv_transpose2d(t64(x), t64(np.ones((1, 1, 3, 3))), _zeros(1))
-        np.testing.assert_array_equal(out.data[0, 0], np.kron(x[0, 0], np.ones((3, 3))))
+        np.testing.assert_array_equal(out.data[0, :, :, 0], np.kron(x[0, :, :, 0], np.ones((3, 3))))
 
     def test_softmax_rows_normalized(self):
         rng = np.random.default_rng(0)
@@ -119,7 +133,7 @@ class TestBackward:
 
         def grads(x_leaf):
             ws = [Tensor(w.copy(), requires_grad=True) for w in (w1, w2)]
-            out = x_leaf.matmul(ws[0]).relu().matmul(ws[1])
+            out = x_leaf.matmul(ws[0]).sigmoid().matmul(ws[1])
             out.square().sum().backward()
             return out, [w.grad for w in ws]
 
@@ -144,8 +158,8 @@ class TestBackward:
         x = rng.standard_normal((4, 5))
 
         def f(t):
-            h = (Tensor(x).matmul(t)).relu()
-            h = (h.matmul(Tensor(w2))).relu()
+            h = linear(Tensor(x), t, _zeros(8), relu=True)
+            h = linear(h, Tensor(w2), _zeros(8), relu=True)
             return h.matmul(Tensor(w3)).log_softmax(axis=-1).square().mean()
 
         assert grad_check(f, t64(w1), step=1e-5) <= 1e-4
@@ -181,7 +195,6 @@ OPERATOR_CASES = [
     ("add", lambda t, aux: (t + Tensor(aux)).square().sum(), (3, 4)),
     ("multiply", lambda t, aux: (t * Tensor(aux)).sum(), (3, 4)),
     ("matmul", lambda t, aux: t.matmul(Tensor(aux.T)).square().sum(), (3, 4)),
-    ("relu", lambda t, aux: t.relu().square().sum(), (3, 4)),
     ("sigmoid", lambda t, aux: t.sigmoid().square().sum(), (3, 4)),
     ("square", lambda t, aux: t.square().sum(), (3, 4)),
     ("sum_axis", lambda t, aux: t.sum(axis=1).square().sum(), (3, 4)),
@@ -197,21 +210,32 @@ OPERATOR_CASES = [
     ("softmax", lambda t, aux: t.softmax(axis=-1).square().sum(), (3, 4)),
     ("log_softmax", lambda t, aux: t.log_softmax(axis=-1).square().sum(), (3, 4)),
     ("reshape", lambda t, aux: t.reshape(4, 3).matmul(Tensor(aux[:, :3])).sum(), (3, 4)),
+    ("transpose", lambda t, aux: (t.transpose(1, 2, 0) * Tensor(aux)).square().sum(), (2, 3, 4)),
     ("clamped_log", lambda t, aux: t.softmax(axis=-1).clamped_log().sum(), (3, 4)),
-    ("conv2d", lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=1).square().sum(), (2, 2, 5, 5)),
+    # the conv operators read and write channels-last (N, H, W, C) arrays
+    ("conv2d", lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=1).square().sum(), (2, 5, 5, 2)),
+    ("conv2d_relu",
+     lambda t, aux: conv2d(t, Tensor(aux), _bias(aux.shape[0]), padding=1, relu=True).square().sum(), (2, 5, 5, 2)),
     ("conv2d_w", lambda t, aux: conv2d(Tensor(aux), t, _zeros(t.shape[0]), padding=0).square().sum(), (3, 2, 3, 3)),
+    ("conv2d_b",
+     lambda t, aux: conv2d(Tensor(aux), Tensor(np.full((3, 2, 3, 3), 0.3)), t, padding=1, relu=True).square().sum(),
+     (3,)),
     ("conv_transpose2d",
-     lambda t, aux: conv_transpose2d(t, Tensor(aux), _zeros(aux.shape[1])).square().sum(), (2, 2, 3, 3)),
-    ("max_pool2d", lambda t, aux: max_pool2d(t, 2).square().sum(), (1, 1, 4, 4)),
+     lambda t, aux: conv_transpose2d(t, Tensor(aux), _zeros(aux.shape[1])).square().sum(), (2, 3, 3, 2)),
+    ("conv_transpose2d_relu",
+     lambda t, aux: conv_transpose2d(t, Tensor(aux), _bias(aux.shape[1]), relu=True).square().sum(), (2, 3, 3, 2)),
+    ("conv_transpose2d_w",
+     lambda t, aux: conv_transpose2d(Tensor(aux), t, _bias(t.shape[1]), relu=True).square().sum(), (2, 3, 2, 2)),
+    ("max_pool2d", lambda t, aux: max_pool2d(t, 2).square().sum(), (1, 4, 4, 2)),
     # input gradients on conv paths the model zoo does not take
     ("conv2d_pad0",
-     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=0).square().sum(), (2, 2, 5, 5)),
+     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=0).square().sum(), (2, 5, 5, 2)),
     ("conv2d_pad2",
-     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=2).square().sum(), (2, 2, 5, 5)),
-    ("conv2d_1x1", lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0])).square().sum(), (2, 2, 4, 4)),
+     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=2).square().sum(), (2, 5, 5, 2)),
+    ("conv2d_1x1", lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0])).square().sum(), (2, 4, 4, 2)),
     # a conv with at most a quarter as many output as input channels
     ("conv2d_narrow",
-     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=1).square().sum(), (2, 4, 5, 5)),
+     lambda t, aux: conv2d(t, Tensor(aux), _zeros(aux.shape[0]), padding=1).square().sum(), (2, 5, 5, 4)),
     ("conv2d_narrow_w",
      lambda t, aux: conv2d(Tensor(aux), t, _zeros(t.shape[0]), padding=2).square().sum(), (1, 4, 3, 3)),
 ]
@@ -221,14 +245,19 @@ OPERATOR_CASES = [
 def test_operator_gradients_match_finite_differences(name, fn, shape):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     aux_shape = {
+        "transpose": (3, 4, 2),
         "conv2d": (3, 2, 3, 3),
-        "conv2d_w": (2, 2, 5, 5),
+        "conv2d_relu": (3, 2, 3, 3),
+        "conv2d_w": (2, 5, 5, 2),
+        "conv2d_b": (2, 5, 5, 2),
         "conv_transpose2d": (2, 3, 2, 2),
+        "conv_transpose2d_relu": (2, 3, 2, 2),
+        "conv_transpose2d_w": (2, 3, 3, 2),
         "conv2d_pad0": (3, 2, 3, 3),
         "conv2d_pad2": (3, 2, 3, 3),
         "conv2d_1x1": (3, 2, 1, 1),
         "conv2d_narrow": (1, 4, 3, 3),
-        "conv2d_narrow_w": (2, 4, 4, 5),
+        "conv2d_narrow_w": (2, 4, 5, 4),
     }.get(name, (3, 4))
     for trial in range(20):
         point = t64(rng.standard_normal(shape))
@@ -238,7 +267,17 @@ def test_operator_gradients_match_finite_differences(name, fn, shape):
 
 # ---------------------------------------------------------------------------
 # The im2col/einsum kernels the GEMM kernels replaced, kept as the reference.
+# They work on (N, C, H, W) arrays; the operators' channels-last arrays reach
+# them through a transpose.
 # ---------------------------------------------------------------------------
+
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def _nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
 
 def _oracle_im2col(x, kh, kw, stride, pad):
     n, c, h, w = x.shape
@@ -252,9 +291,9 @@ def _oracle_im2col(x, kh, kw, stride, pad):
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
-# (N, C, H, W) inputs: the desk layers' and non-square ones
-GATHER_INPUTS = [(2, 1, 12, 12), (2, 8, 6, 6), (2, 16, 3, 3), (2, 8, 12, 12), (2, 1, 16, 16),
-                 (1, 2, 5, 7), (1, 3, 7, 4), (1, 1, 2, 9)]
+# (N, H, W, C) inputs: the desk layers' and non-square ones
+GATHER_INPUTS = [(2, 12, 12, 1), (2, 6, 6, 8), (2, 3, 3, 16), (2, 12, 12, 8), (2, 16, 16, 1),
+                 (1, 5, 7, 2), (1, 7, 4, 3), (1, 2, 9, 1)]
 
 
 class TestGatherIndex:
@@ -262,7 +301,7 @@ class TestGatherIndex:
     def test_in_range_and_im2col_matches_oracle(self, shape):
         """_im2col gathers with mode="wrap", which would silently wrap an
         out-of-range index: every index must lie in [0, hp*wp)."""
-        n, c, h, w = shape
+        n, h, w, c = shape
         x = np.random.default_rng(zlib.crc32(repr(shape).encode())).standard_normal(shape).astype(np.float32)
         checked = 0
         for k in (2, 3):
@@ -272,10 +311,13 @@ class TestGatherIndex:
                     continue
                 hp, wp = h + 2 * pad, w + 2 * pad
                 idx = autodiff._gather_index(hp, wp, k)
-                assert idx.shape == (k * k, ho * wo)
+                assert idx.shape == (ho * wo, k * k)
                 assert idx.min() >= 0 and idx.max() < hp * wp, (k, pad)
                 cols, got_ho, got_wo = autodiff._im2col(x, k, pad)
-                want, _, _ = _oracle_im2col(x, k, k, 1, pad)
+                # the oracle's (N, C*k*k, Ho*Wo) columns as one (i, j, c) row
+                # per output pixel
+                want, _, _ = _oracle_im2col(_nchw(x), k, k, 1, pad)
+                want = want.reshape(n, c, k * k, ho * wo).transpose(0, 3, 2, 1).reshape(n * ho * wo, k * k * c)
                 assert (got_ho, got_wo) == (ho, wo)
                 assert cols.dtype == want.dtype and cols.shape == want.shape
                 assert cols.tobytes() == want.tobytes(), (k, pad)
@@ -397,7 +439,7 @@ class TestKernelsMatchOracle:
     def _check_layer(layer, batch):
         kind, cin, cout, k, size, stride, padding = layer
         rng = np.random.default_rng(zlib.crc32(repr(layer).encode()) + batch)
-        x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
+        x = rng.standard_normal((batch, size, size, cin)).astype(np.float32)
         wshape = (cout, cin, k, k) if kind == "conv2d" else (cin, cout, k, k)
         bound = 1.0 / np.sqrt(cin * k * k)
         w = rng.uniform(-bound, bound, wshape).astype(np.float32)
@@ -407,8 +449,10 @@ class TestKernelsMatchOracle:
         x_grad = cin != 1
         kw = {"padding": padding} if kind == "conv2d" else {}
         out, g, (dx, dw, db) = _run_op(op, x, w, b, x_grad=x_grad, **kw)
-        want_out, want_grads = oracle(x, w, b, stride=stride, padding=padding)
-        want_dx, want_dw, want_db = want_grads(g)
+        want_out, want_grads = oracle(_nchw(x), w, b, stride=stride, padding=padding)
+        want_out = _nhwc(want_out)
+        want_dx, want_dw, want_db = want_grads(_nchw(g))
+        want_dx = _nhwc(want_dx)
         assert out.dtype == dw.dtype == db.dtype == np.float32
         assert (out.shape, dw.shape) == (want_out.shape, want_dw.shape)
         _assert_float32_close(out, want_out)
@@ -436,11 +480,11 @@ class TestKernelsMatchOracle:
         calls = []
         im2col = autodiff._im2col
         monkeypatch.setattr(autodiff, "_im2col", lambda *a: calls.append(a) or im2col(*a))
-        conv2d(Tensor(np.ones((2, cin, 6, 6), np.float32)), Tensor(np.ones((cout, cin, 3, 3), np.float32)),
+        conv2d(Tensor(np.ones((2, 6, 6, cin), np.float32)), Tensor(np.ones((cout, cin, 3, 3), np.float32)),
                Tensor(np.zeros(cout, np.float32)), padding=1)
         assert bool(calls) == unfolds
 
-    @pytest.mark.parametrize("shape", [(64, 8, 12, 12), (256, 16, 6, 6), (3, 2, 4, 6)])
+    @pytest.mark.parametrize("shape", [(64, 12, 12, 8), (256, 6, 6, 16), (3, 4, 6, 2)])
     @pytest.mark.parametrize("zeros", ["negative", "both signs"])
     def test_max_pool_byte_identical_with_ties(self, shape, zeros):
         rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
@@ -455,8 +499,10 @@ class TestKernelsMatchOracle:
         g[rng.random(out.shape) < 0.2] = -0.0
         g[rng.random(out.shape) < 0.2] = 0.0
         (out * Tensor(g)).sum().backward()
-        want_out, want_grad = _oracle_max_pool2d(x, 2)
-        assert xt.grad.tobytes() == want_grad(g).tobytes()
+        want_out, want_grad = _oracle_max_pool2d(_nchw(x), 2)
+        want_out = _nhwc(want_out)
+        # tobytes() of a transposed view is its bytes in channels-last order
+        assert xt.grad.tobytes() == _nhwc(want_grad(_nchw(g))).tobytes()
         assert np.signbit(xt.grad[xt.grad == 0]).any()
         if zeros == "negative":
             assert out.data.tobytes() == want_out.tobytes()
@@ -465,27 +511,27 @@ class TestKernelsMatchOracle:
             np.testing.assert_array_equal(out.data, want_out)
 
     def test_max_pool_propagates_nan(self):
-        x = np.array([[[[1.0, np.nan], [3.0, 2.0]]]], dtype=np.float32)
+        x = np.array([[[1.0, np.nan], [3.0, 2.0]]], dtype=np.float32)[..., None]
         assert np.isnan(max_pool2d(Tensor(x), 2).data).all()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_max_pool_nan_window_passes_no_gradient(self, k):
         rng = np.random.default_rng(k)
-        x = rng.standard_normal((3, 2, 3 * k, 2 * k)).astype(np.float32)
+        x = rng.standard_normal((3, 3 * k, 2 * k, 2)).astype(np.float32)
         x[rng.random(x.shape) < 0.3 / k**2] = np.nan
-        nan_windows = np.isnan(x).reshape(3, 2, 3, k, 2, k).any(axis=(3, 5))
+        nan_windows = np.isnan(x).reshape(3, 3, k, 2, k, 2).any(axis=(2, 4))
         assert nan_windows.any() and not nan_windows.all()
         xt = Tensor(x, requires_grad=True)
         out = max_pool2d(xt, k)
         g = rng.standard_normal(out.shape).astype(np.float32)
         (out * Tensor(g)).sum().backward()
-        _, want_grad = _oracle_max_pool2d(x, k)
-        in_nan_window = np.repeat(np.repeat(nan_windows, k, axis=2), k, axis=3)
+        _, want_grad = _oracle_max_pool2d(_nchw(x), k)
+        in_nan_window = np.repeat(np.repeat(nan_windows, k, axis=1), k, axis=2)
         assert (np.isnan(out.data) == nan_windows).all()
-        assert xt.grad.tobytes() == np.where(in_nan_window, np.float32(0), want_grad(g)).tobytes()
+        assert xt.grad.tobytes() == np.where(in_nan_window, np.float32(0), _nhwc(want_grad(_nchw(g)))).tobytes()
 
     def test_max_pool_under_no_grad(self):
-        x = np.random.default_rng(5).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        x = np.random.default_rng(5).standard_normal((4, 6, 6, 3)).astype(np.float32)
         recorded = max_pool2d(Tensor(x, requires_grad=True), 2)
         with no_grad():
             out = max_pool2d(Tensor(x, requires_grad=True), 2)
@@ -498,9 +544,15 @@ class TestKernelsMatchOracle:
 # reference: a fused node must give their bytes, forward and backward.
 # ---------------------------------------------------------------------------
 
+def _oracle_relu(t):
+    """Tensor.relu as it was."""
+    mask = t.data > 0
+    return Tensor._result(t.data * mask, (t,), lambda g, a=t: ((a, g * mask),), "relu")
+
+
 def _oracle_linear(x, w, b, relu=False):
     z = x.matmul(w) + b
-    return z.relu() if relu else z
+    return _oracle_relu(z) if relu else z
 
 
 def _oracle_mean(t, axis=None, keepdims=False):
@@ -557,6 +609,31 @@ class TestFusedNodesMatchOracle:
         _assert_same_bytes(lambda x, w, b: linear(x, w, b, relu=relu),
                            lambda x, w, b: _oracle_linear(x, w, b, relu=relu),
                            arrays, (x_grad, True, True))
+
+    # the backbone's middle conv and the decoder's second upsampling, each
+    # against the same op without relu followed by relu as a node of its own
+    @pytest.mark.parametrize("kind", ["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("values", ["floats", "integers"])
+    def test_conv_relu(self, kind, values):
+        if kind == "conv2d":
+            op = functools.partial(conv2d, padding=1)
+            xshape, wshape, cout = (64, 6, 6, 8), (16, 8, 3, 3), 16
+        else:
+            op = conv_transpose2d
+            xshape, wshape, cout = (64, 6, 6, 8), (8, 8, 2, 2), 8
+        rng = np.random.default_rng(len(kind) + len(values))
+        shapes = (xshape, wshape, (cout,))
+        if values == "integers":
+            # sums of small integers are exact, so many pre-activations are
+            # exactly 0, which the mask zeroes as linear(relu=True) does
+            arrays = [rng.integers(-1, 2, shape).astype(np.float32) for shape in shapes]
+            pre = op(*[Tensor(a) for a in arrays]).data
+            assert (pre == 0).any() and (pre > 0).any()
+        else:
+            arrays = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+        _assert_same_bytes(lambda x, w, b: op(x, w, b, relu=True),
+                           lambda x, w, b: _oracle_relu(op(x, w, b)),
+                           arrays, (True, True, True))
 
     @pytest.mark.parametrize("shape", [(64, 4), (64, 12, 12)])
     @pytest.mark.parametrize("axis", [None, 0, -1])

@@ -2,6 +2,7 @@ import errno
 import io
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_train_resume(tmp_path, capsys):
     assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_OK
     assert {name: (run / name).read_bytes() for name in files} == before
     assert "best_acc=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "empty"])
+def test_resume_without_run_creates_nothing(tmp_path, capsys, existing):
+    out = tmp_path / "nx" / "deep"
+    if existing:
+        out.mkdir(parents=True)
+    assert main(["train", "--out-dir", str(out), "--resume"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error:" in err and str(out / "config.txt") in err
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == (
+        [Path("nx"), Path("nx/deep")] if existing else [])
 
 
 def _run_files(run):

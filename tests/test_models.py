@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from noisylab.autodiff import Tensor
+from noisylab.training import SgdOptimizer
 from noisylab.models import (
     ConvBackbone,
     ConvDecoder,
@@ -125,3 +126,90 @@ class TestModelSet:
         assert ms.classifier(feats).shape == (2, 4)
         assert ms.cluster_head(feats).shape == (2, 3)
         assert ms.decoder(feats).shape == (2, 8, 8)
+
+
+# ---------------------------------------------------------------------------
+# A float64 numpy forward of the whole conv model on (N, C, H, W) arrays,
+# from the model's parameter arrays, written out layer by layer. The model
+# computes channels last; the flatten before the backbone's projection and
+# the unflatten after the decoder's lift are channels first here, the order
+# conv checkpoints have always been written in.
+# ---------------------------------------------------------------------------
+
+def _ref_relu(x):
+    return np.maximum(x, 0.0)
+
+
+def _ref_conv3x3(x, w, b):
+    """Stride-1, padding-1 convolution. x: (N, C, H, W), w: (O, C, 3, 3)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    return np.einsum("nchwij,ocij->nohw", windows, w) + b[None, :, None, None]
+
+
+def _ref_upsample2(x, w, b):
+    """Stride-2 transposed convolution, 2x2 kernel. w: (C, O, 2, 2)."""
+    n, _, h, wd = x.shape
+    out = np.einsum("ncyx,coij->noyixj", x, w).reshape(n, w.shape[1], 2 * h, 2 * wd)
+    return out + b[None, :, None, None]
+
+
+def _ref_pool2(x):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+
+
+def _ref_forward(ms, images):
+    """(features, classifier logits, reconstruction) in float64."""
+    p = {name: t.data.astype(np.float64) for name, t in ms.parameters().items()}
+    n = len(images)
+    h = images[:, None].astype(np.float64)
+    h = _ref_pool2(_ref_relu(_ref_conv3x3(h, p["backbone.cw1"], p["backbone.cb1"])))
+    h = _ref_pool2(_ref_relu(_ref_conv3x3(h, p["backbone.cw2"], p["backbone.cb2"])))
+    h = _ref_relu(_ref_conv3x3(h, p["backbone.cw3"], p["backbone.cb3"]))
+    feats = _ref_relu(h.reshape(n, -1) @ p["backbone.fw"] + p["backbone.fb"])
+    logits = feats @ p["classifier.w"] + p["classifier.b"]
+    h = _ref_relu(feats @ p["decoder.fw"] + p["decoder.fb"])
+    side = images.shape[1] // 4
+    h = h.reshape(n, -1, side, side)
+    h = _ref_relu(_ref_upsample2(h, p["decoder.tw1"], p["decoder.tb1"]))
+    h = _ref_relu(_ref_upsample2(h, p["decoder.tw2"], p["decoder.tb2"]))
+    recon = 1.0 / (1.0 + np.exp(-_ref_conv3x3(h, p["decoder.pw"], p["decoder.pb"])))
+    return feats, logits, recon[:, 0]
+
+
+class TestConvMatchesReference:
+    @staticmethod
+    def _assert_close(got, want):
+        # float32 against float64 through a few layers
+        scale = max(float(np.abs(want).max()), 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * scale)
+
+    def _check(self, ms, images):
+        feats = ms.backbone(Tensor(images))
+        want_feats, want_logits, want_recon = _ref_forward(ms, images)
+        assert (want_feats > 0).mean() > 0.2
+        self._assert_close(feats.data, want_feats)
+        self._assert_close(ms.classifier.logits(feats).data, want_logits)
+        self._assert_close(ms.decoder(feats).data, want_recon)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_conv_model_set(self, steps):
+        ms = _models("conv", shape=(12, 12), seed=4, feature_dim=16)
+        rng = _rng(5)
+        images = rng.uniform(0, 1, (32, 12, 12)).astype(np.float32)
+        onehot = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 32)]
+        opt = SgdOptimizer(ms.parameters(), ms.flat)
+        before = {name: t.data.copy() for name, t in ms.parameters().items()}
+        for _ in range(steps):
+            ms.zero_grad()
+            feats = ms.backbone(Tensor(images))
+            ce = -(ms.classifier.log_probs(feats) * Tensor(onehot)).sum(axis=-1).mean()
+            (ce + (ms.decoder(feats) - Tensor(images)).square().mean()).backward()
+            opt.step(0.1)
+        if steps:
+            # every backbone, decoder and classifier parameter has moved
+            still = [name for name, t in ms.parameters().items()
+                     if not name.startswith("cluster.") and np.array_equal(t.data, before[name])]
+            assert still == []
+        self._check(ms, images)
