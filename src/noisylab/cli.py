@@ -16,8 +16,6 @@ from . import config as config_mod
 from .config import ConfigError
 from .data import (
     DatasetError,
-    DatasetFileError,
-    DoubleInjectionError,
     NoiseSpec,
     empirical_transition_matrix,
     export_labels_csv,
@@ -27,15 +25,8 @@ from .data import (
     replacing,
     save_dataset,
 )
-from .export import HashMismatchError, export_embeddings_csv, export_gallery, load_run_models
-from .training import (
-    CheckpointError,
-    DivergenceError,
-    RunLockError,
-    format_ablation_table,
-    run_ablation,
-    run_experiment,
-)
+from .export import export_embeddings_csv, export_gallery, load_run_models
+from .training import DivergenceError, RunLockError, format_ablation_table, run_ablation, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,11 +106,8 @@ def cmd_train(args) -> int:
         cfg = _load_config(args)
         summary = run_experiment(cfg, args.out_dir)
     print(f"run dir: {args.out_dir}")
-    if summary["last_acc"] is None:
-        print("no epochs remaining; run already finished")
-    else:
-        print(f"best_acc={summary['best_acc']:.4f} (epoch {summary['best_epoch']}) "
-              f"last_acc={summary['last_acc']:.4f} gap={summary['gap']:.4f}")
+    print(f"best_acc={summary['best_acc']:.4f} (epoch {summary['best_epoch']}) "
+          f"last_acc={summary['last_acc']:.4f} gap={summary['gap']:.4f}")
     return EXIT_OK
 
 
@@ -207,13 +195,13 @@ def main(argv=None) -> int:
         parser.error("train: --resume takes no --config, --override or --seed")
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, DoubleInjectionError) as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DatasetFileError, CheckpointError, HashMismatchError, RunLockError, OSError) as exc:
+    except (RunLockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

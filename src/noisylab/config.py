@@ -230,8 +230,12 @@ def loads(text: str, overrides=()) -> dict:
 
 
 def load(path, overrides=()) -> dict:
-    with open(path, "r") as fh:
-        return loads(fh.read(), overrides)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return loads(text, overrides)
 
 
 def dumps(cfg: dict) -> str:

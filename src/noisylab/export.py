@@ -14,45 +14,38 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .augment import AugmentPolicy, augment_batch
+from .augment import augment_batch
 from .autodiff import Tensor, no_grad
 from .data import LabeledDataset, load_dataset, replacing
-from .training import CheckpointError, build_experiment, load_checkpoint
+from .training import EVAL_BATCH, CheckpointError, build_experiment, load_checkpoint
 
 
-class HashMismatchError(CheckpointError):
-    """Checkpoint was produced under a different config."""
-
-
-def load_run_models(run_dir, checkpoint: str = "best"):
+def load_run_models(run_dir, checkpoint: str):
     """Rebuild the model set of a run from one of its checkpoints, drawing
     no init.
 
-    Returns ``(experiment, checkpoint_meta)``. Raises HashMismatchError if
-    the checkpoint's config hash does not match the run's config.
+    Returns ``(experiment, checkpoint_meta)``. Raises CheckpointError if
+    the checkpoint was written by a different config.
     """
     run_dir = Path(run_dir)
     cfg = config_mod.load(run_dir / "config.txt")
     arrays, meta = load_checkpoint(run_dir / "checkpoints" / f"{checkpoint}.ckpt")
-    expected = config_mod.config_hash(cfg)
-    if meta["config_hash"] != expected:
-        raise HashMismatchError(
-            f"checkpoint hash {meta['config_hash'][:12]} != config hash {expected[:12]}"
-        )
+    if meta["config_hash"] != config_mod.config_hash(cfg):
+        raise CheckpointError("checkpoint was written by a different config")
     return build_experiment(cfg, load_dataset(run_dir / "dataset.bin"), arrays), meta
 
 
-def compute_embeddings(models, features: np.ndarray, batch_size: int = 256):
+def compute_embeddings(models, features: np.ndarray):
     """Backbone features and cluster argmax for every sample."""
     dim = models.backbone.feature_dim
     emb = np.empty((len(features), dim), dtype=np.float32)
     cluster = np.empty(len(features), dtype=np.int64)
     with no_grad():
-        for lo in range(0, len(features), batch_size):
-            chunk = Tensor(features[lo : lo + batch_size])
+        for lo in range(0, len(features), EVAL_BATCH):
+            chunk = Tensor(features[lo : lo + EVAL_BATCH])
             feats = models.backbone(chunk)
-            emb[lo : lo + batch_size] = feats.data
-            cluster[lo : lo + batch_size] = models.cluster_head.logits(feats).data.argmax(axis=-1)
+            emb[lo : lo + EVAL_BATCH] = feats.data
+            cluster[lo : lo + EVAL_BATCH] = models.cluster_head.logits(feats).data.argmax(axis=-1)
     return emb, cluster
 
 
@@ -84,14 +77,15 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
-def reconstruction_gallery(exp, num_samples: int = 8, epoch: int = 0):
-    """Grid of (augmented, reconstructed, original) triples as one image."""
+def reconstruction_gallery(exp, num_samples: int):
+    """Grid of (augmented, reconstructed, original) triples as one image;
+    the inputs are augmented as in epoch 0."""
     ds = exp.dataset
     if not ds.is_image:
         raise ValueError("reconstruction gallery requires image-shaped data")
     idx = np.arange(min(num_samples, len(ds)))
     originals = ds.features[idx]
-    augmented = augment_batch(exp.policy, originals, exp.cfg["seeds.augment"], epoch, idx)
+    augmented = augment_batch(exp.policy, originals, exp.cfg["seeds.augment"], 0, idx)
     with no_grad():
         recon = exp.models.decoder(exp.models.backbone(Tensor(augmented))).data
 
@@ -106,5 +100,5 @@ def reconstruction_gallery(exp, num_samples: int = 8, epoch: int = 0):
     return canvas
 
 
-def export_gallery(exp, path, num_samples: int = 8) -> None:
+def export_gallery(exp, path, num_samples: int) -> None:
     write_pgm(path, reconstruction_gallery(exp, num_samples))

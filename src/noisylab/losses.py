@@ -1,5 +1,7 @@
 """Training objectives: bootstrapped classification (A), reconstruction (B)
-and cluster regularization (C), their sum, and the mixing-weight schedule.
+and cluster regularization (C), and their sum. The bootstrap loss takes its
+mixing weight alpha as a number; its schedule over epochs is
+``training.alpha_at``, which reads the config.
 
 Cluster regularization combines three pieces, which ``cluster_loss`` also
 returns one by one: a cross-view consistency cross-entropy, a KL-to-uniform
@@ -14,7 +16,6 @@ config's ``losses.A/B/C``, read by the loop alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,52 +149,4 @@ def total_loss(terms: dict) -> Tensor:
     for term in rest:
         total = total + term
     return total
-
-
-# ---------------------------------------------------------------------------
-# Mixing-weight schedule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """Supervision mixing weight over epochs: 1 up to ``start_epoch``,
-    0 from ``end_epoch`` on, monotone non-increasing in between.
-
-    Kinds: linear | cosine | step | constant. ``constant`` ignores the
-    epoch bounds and always returns ``value`` (value=1 reproduces the
-    plain cross-entropy baseline).
-    """
-
-    kind: str = "linear"
-    start_epoch: int = 0
-    end_epoch: int = 1
-    value: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "cosine", "step", "constant"):
-            raise ValueError(f"unknown alpha schedule kind: {self.kind!r}")
-        if self.kind != "constant" and self.start_epoch >= self.end_epoch:
-            raise ValueError(
-                f"start_epoch must precede end_epoch, got {self.start_epoch} >= {self.end_epoch}"
-            )
-        if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
-            raise ValueError("constant alpha must be in [0, 1]")
-
-
-def alpha_at(schedule: AlphaSchedule, epoch: int, total_epochs: int) -> float:
-    if not 0 <= epoch < total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
-    if schedule.kind == "constant":
-        return schedule.value
-    if epoch <= schedule.start_epoch:
-        return 1.0
-    if epoch >= schedule.end_epoch:
-        return 0.0
-    frac = (epoch - schedule.start_epoch) / (schedule.end_epoch - schedule.start_epoch)
-    if schedule.kind == "linear":
-        return 1.0 - frac
-    if schedule.kind == "cosine":
-        return 0.5 * (1.0 + math.cos(math.pi * frac))
-    # step: full supervision for the first half of the decay window
-    return 1.0 if frac < 0.5 else 0.0
 

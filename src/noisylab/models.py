@@ -13,6 +13,10 @@ import numpy as np
 
 from .autodiff import Tensor, conv2d, conv_transpose2d, linear, max_pool2d
 
+# conv channels: the backbone's three blocks; the decoder's lift and upsamplings
+BACKBONE_CHANNELS = (8, 16, 32)
+DECODER_CHANNELS = (16, 8)
+
 
 class Module:
     """Tiny base: named parameters. Each is declared with its shape and init
@@ -60,7 +64,7 @@ class ConvBackbone(Module):
     """Three conv blocks with pooling, channels last, then a linear
     projection to d."""
 
-    def __init__(self, input_shape, feature_dim: int, specs: list, channels=(8, 16, 32)):
+    def __init__(self, input_shape, feature_dim: int, specs: list):
         super().__init__(specs)
         if len(input_shape) != 2:
             raise ValueError(f"conv backbone needs (H, W) input, got {input_shape}")
@@ -69,8 +73,7 @@ class ConvBackbone(Module):
             raise ValueError("conv backbone needs spatial dims divisible by 4")
         self.input_shape = tuple(input_shape)
         self.feature_dim = feature_dim
-        self.channels = channels
-        c1, c2, c3 = channels
+        c1, c2, c3 = BACKBONE_CHANNELS
         self.cw1, self.cb1 = self._conv("cw1", "cb1", 1, c1, 3)
         self.cw2, self.cb2 = self._conv("cw2", "cb2", c1, c2, 3)
         self.cw3, self.cb3 = self._conv("cw3", "cb3", c2, c3, 3)
@@ -123,14 +126,13 @@ class ConvDecoder(Module):
     """Linear lift to a small spatial map, two transposed-conv upsamplings,
     then a 1-channel sigmoid projection."""
 
-    def __init__(self, feature_dim: int, output_shape, specs: list, channels=(16, 8)):
+    def __init__(self, feature_dim: int, output_shape, specs: list):
         super().__init__(specs)
         h, w = output_shape
         if h % 4 or w % 4:
             raise ValueError("conv decoder needs spatial dims divisible by 4")
         self.output_shape = tuple(output_shape)
-        c1, c2 = channels
-        self.c1 = c1
+        c1, c2 = DECODER_CHANNELS
         self.base = (h // 4, w // 4)
         self.fw, self.fb = self._linear("fw", "fb", feature_dim, c1 * (h // 4) * (w // 4))
         self.tw1, self.tb1 = self._conv("tw1", "tb1", c1, c2, 2, transposed=True)
@@ -141,7 +143,7 @@ class ConvDecoder(Module):
         n = features.shape[0]
         h = linear(features, self.fw, self.fb, relu=True)
         # fw's columns lift channels first; the convs read channels last
-        h = h.reshape(n, self.c1, *self.base).transpose(0, 2, 3, 1)
+        h = h.reshape(n, -1, *self.base).transpose(0, 2, 3, 1)
         h = conv_transpose2d(h, self.tw1, self.tb1, relu=True)
         h = conv_transpose2d(h, self.tw2, self.tb2, relu=True)
         out = conv2d(h, self.pw, self.pb, padding=1).sigmoid()

@@ -1,5 +1,6 @@
-"""Training loop: SGD with momentum, step LR schedule, metrics collection,
-run directories, checkpointing, and the 7-row ablation grid.
+"""Training loop: SGD with momentum, the step LR and alpha schedules,
+metrics collection, run directories, checkpointing, and the 7-row ablation
+grid. Both schedules read the validated config.
 
 Everything on the default path is single-threaded and seeded, so two runs
 of the same config produce identical parameters and metrics. Shuffle order
@@ -35,17 +36,12 @@ from .data import (
     save_dataset,
     write_arrays,
 )
-from .losses import (
-    AlphaSchedule,
-    alpha_at,
-    bootstrap_loss,
-    cluster_loss,
-    reconstruction_loss,
-    total_loss,
-)
+from .losses import bootstrap_loss, cluster_loss, reconstruction_loss, total_loss
 from .models import ModelSet
 
 DIVERGENCE_LIMIT = 1e4
+# rows per forward pass in evaluation and export, which run no backward
+EVAL_BATCH = 256
 
 ABLATION_ROWS = [
     ("CE", False, False, False),
@@ -68,7 +64,7 @@ class RunLockError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Optimizer and LR schedule
+# Optimizer and schedules
 # ---------------------------------------------------------------------------
 
 class SgdOptimizer:
@@ -83,7 +79,7 @@ class SgdOptimizer:
     step is a few array operations over all parameters.
     """
 
-    def __init__(self, params: dict, flat: np.ndarray, momentum: float = 0.9, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, flat: np.ndarray, momentum: float, weight_decay: float):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -116,9 +112,37 @@ class SgdOptimizer:
         self._flat -= g
 
 
-def lr_at(base_lr: float, epoch: int, total_epochs: int, milestones=(0.5, 0.75), step_ratio: float = 0.1) -> float:
-    passed = sum(1 for m in milestones if epoch >= m * total_epochs)
-    return base_lr * step_ratio**passed
+def lr_at(cfg: dict, epoch: int) -> float:
+    """``optim.lr`` times ``optim.step_ratio`` for each milestone fraction
+    of ``train.epochs`` that ``epoch`` has reached."""
+    passed = sum(1 for m in cfg["optim.milestones"] if epoch >= m * cfg["train.epochs"])
+    return cfg["optim.lr"] * cfg["optim.step_ratio"]**passed
+
+
+def alpha_at(cfg: dict, epoch: int) -> float:
+    """The bootstrap loss's supervision weight: ``alpha.constant`` for the
+    constant kind; otherwise 1 up to the window's start epoch, 0 from its
+    end epoch on, and falling linearly, along a half cosine, or in one step
+    at the midpoint in between. The window is ``alpha.start_frac`` and
+    ``alpha.end_frac`` of ``train.epochs``, rounded, one epoch at least."""
+    total = cfg["train.epochs"]
+    if not 0 <= epoch < total:
+        raise ValueError(f"epoch {epoch} outside [0, {total})")
+    kind = cfg["alpha.kind"]
+    if kind == "constant":
+        return cfg["alpha.constant"]
+    start = int(round(cfg["alpha.start_frac"] * total))
+    end = max(start + 1, int(round(cfg["alpha.end_frac"] * total)))
+    if epoch <= start:
+        return 1.0
+    if epoch >= end:
+        return 0.0
+    frac = (epoch - start) / (end - start)
+    if kind == "linear":
+        return 1.0 - frac
+    if kind == "cosine":
+        return 0.5 * (1.0 + math.cos(math.pi * frac))
+    return 1.0 if frac < 0.5 else 0.0  # step
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +203,6 @@ class Experiment:
     models: ModelSet
     optimizer: SgdOptimizer
     policy: AugmentPolicy
-    schedule: AlphaSchedule
 
 
 def build_dataset(cfg: dict) -> LabeledDataset:
@@ -202,15 +225,6 @@ def split_indices(cfg: dict, n: int):
     order = rng.permutation(n)
     n_val = max(1, int(round(cfg["data.val_fraction"] * n)))
     return order[n_val:], order[:n_val]
-
-
-def build_schedule(cfg: dict) -> AlphaSchedule:
-    total = cfg["train.epochs"]
-    if cfg["alpha.kind"] == "constant":
-        return AlphaSchedule(kind="constant", value=cfg["alpha.constant"])
-    start = int(round(cfg["alpha.start_frac"] * total))
-    end = max(start + 1, int(round(cfg["alpha.end_frac"] * total)))
-    return AlphaSchedule(kind=cfg["alpha.kind"], start_epoch=start, end_epoch=end)
 
 
 def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
@@ -237,8 +251,7 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
                            num_ops=cfg["augment.num_ops"],
                            magnitude=cfg["augment.magnitude"])
     exp = Experiment(cfg=cfg, dataset=ds, train_idx=train_idx, val_idx=val_idx,
-                     models=models, optimizer=optimizer, policy=policy,
-                     schedule=build_schedule(cfg))
+                     models=models, optimizer=optimizer, policy=policy)
     if checkpoint is not None:
         state = _ckpt_state(exp)
         missing, extra = state.keys() - checkpoint.keys(), checkpoint.keys() - state.keys()
@@ -263,13 +276,13 @@ def _onehot(labels, num_classes, dtype=np.float32):
     return out
 
 
-def predict_classes(models: ModelSet, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_classes(models: ModelSet, features: np.ndarray) -> np.ndarray:
     preds = np.empty(len(features), dtype=np.int64)
     with no_grad():
-        for lo in range(0, len(features), batch_size):
-            chunk = Tensor(features[lo : lo + batch_size])
+        for lo in range(0, len(features), EVAL_BATCH):
+            chunk = Tensor(features[lo : lo + EVAL_BATCH])
             logits = models.classifier.logits(models.backbone(chunk))
-            preds[lo : lo + batch_size] = logits.data.argmax(axis=-1)
+            preds[lo : lo + EVAL_BATCH] = logits.data.argmax(axis=-1)
     return preds
 
 
@@ -305,9 +318,7 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     """One pass over shuffled train batches, then a full evaluation."""
     cfg = exp.cfg
     t0 = time.perf_counter()
-    total_epochs = cfg["train.epochs"]
-    lr = lr_at(cfg["optim.lr"], epoch, total_epochs, cfg["optim.milestones"], cfg["optim.step_ratio"])
-    alpha = alpha_at(exp.schedule, epoch, total_epochs)
+    lr, alpha = lr_at(cfg, epoch), alpha_at(cfg, epoch)
 
     ds = exp.dataset
     c = ds.num_classes
@@ -496,9 +507,10 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
     summary.json. With ``resume=True`` the directory must hold a previous
     run; training continues from the last checkpoint, or from the initial one
     if no epoch finished, after cutting metrics.csv back to the checkpoint's
-    epoch. Resuming a finished run returns its stored summary and writes
-    nothing; if the summary is missing, it is rebuilt from the last row of
-    metrics.csv. Without ``resume``, a directory that already holds a run
+    epoch. A resume builds its summary from the checkpoint's metadata and
+    the last kept row of metrics.csv; a finished run loads no dataset and
+    builds no experiment, and its summary.json is written only if missing or
+    different. Without ``resume``, a directory that already holds a run
     (a config.txt) is refused with FileExistsError before any of its files
     is written. A resume of a directory without a config.txt raises
     FileNotFoundError and creates nothing. ``stop_after`` stops cleanly
@@ -522,13 +534,11 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             chash = config_mod.config_hash(cfg)
             if meta["config_hash"] != chash:
                 raise CheckpointError("checkpoint was written by a different config")
-            summary_path = out_dir / "summary.json"
-            if meta["epoch"] == cfg["train.epochs"] and summary_path.exists():
-                return json.loads(summary_path.read_text())
             record = _trim_metrics(metrics_path, meta["epoch"])
-            exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"), arrays)
             start_epoch = meta["epoch"]
             best_acc, best_epoch = meta["best_acc"], meta["best_epoch"]
+            if start_epoch < cfg["train.epochs"]:
+                exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"), arrays)
         else:
             if (out_dir / "config.txt").exists():
                 raise FileExistsError(f"{out_dir} already holds a run; continue it with "
@@ -573,8 +583,11 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             "last_corrupted_subset_acc": record.corrupted_subset_acc if record is not None else None,
         }
         if finished:
-            with replacing(out_dir / "summary.json") as fh:
-                fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+            summary_path = out_dir / "summary.json"
+            text = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+            if not (summary_path.is_file() and summary_path.read_bytes() == text):
+                with replacing(summary_path) as fh:
+                    fh.write(text)
         return summary
 
 

@@ -97,7 +97,7 @@ def test_train_and_export(tmp_path, capsys):
     assert (run / "gallery.pgm").exists()
     assert (run / "gallery.pgm").read_bytes().startswith(b"P5\n")
     # the CSV text holds every float32 feature exactly
-    exp, _ = load_run_models(run)
+    exp, _ = load_run_models(run, "best")
     emb, cluster = compute_embeddings(exp.models, exp.dataset.features)
     table = np.loadtxt(run / "embeddings.csv", delimiter=",", skiprows=1)
     dim = emb.shape[1]
@@ -112,10 +112,37 @@ def test_train_resume(tmp_path, capsys):
     files = ("summary.json", "metrics.csv", "checkpoints/last.ckpt", "checkpoints/best.ckpt")
     before = {name: (run / name).read_bytes() for name in files}
     capsys.readouterr()
-    # a finished run resumes to a no-op: it reports the stored summary and writes nothing
+    # a finished run resumes to a no-op: it reports its summary and writes nothing
     assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_OK
     assert {name: (run / name).read_bytes() for name in files} == before
     assert "best_acc=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", [b"{bad", b"[]"], ids=["torn", "list"])
+def test_resume_repairs_damaged_summary(tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
+    written, printed = (run / "summary.json").read_bytes(), capsys.readouterr().out
+    (run / "summary.json").write_bytes(damage)
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_OK
+    assert (run / "summary.json").read_bytes() == written
+    assert capsys.readouterr().out == printed
+
+
+def test_config_not_utf8_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "r")]) == EXIT_VALIDATION
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # a run's config.txt is read the same way on resume and export
+    run = tmp_path / "run"
+    assert main(["train", "--out-dir", str(run)] + TINY) == EXIT_OK
+    (run / "config.txt").write_bytes(b"seeds.init = 1\n# \xe9\n")
+    capsys.readouterr()
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_VALIDATION
+    assert main(["export", "--run", str(run)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count("not UTF-8") == 2
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["missing", "empty"])
@@ -385,7 +412,7 @@ def test_failed_export_keeps_previous_files(trained_run, tmp_path, monkeypatch):
     assert main(["export", "--run", str(trained_run), "--samples", "4", "--out-dir", str(out)]) == EXIT_OK
     names = ["embeddings.csv", "gallery.pgm"]
     before = [(out / name).read_bytes() for name in names]
-    exp, _ = load_run_models(trained_run)
+    exp, _ = load_run_models(trained_run, "best")
     monkeypatch.setattr(data_mod, "open", lambda path, mode: _DiskFull(path, mode.replace("b", "")),
                         raising=False)
     with pytest.raises(OSError, match="No space"):

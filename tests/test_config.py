@@ -58,6 +58,17 @@ class TestValidate:
         with pytest.raises(ConfigError, match="alpha"):
             validate(cfg)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("alpha.kind", "exponential", "alpha.kind"),
+        ("alpha.constant", 1.5, "alpha.constant"),
+        ("alpha.end_frac", 0.1, "start_frac must be below end_frac"),  # equal to start_frac
+    ], ids=["unknown-kind", "constant-above-1", "empty-window"])
+    def test_alpha_settings_rejected(self, key, value, match):
+        cfg = default_config()
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=match):
+            validate(cfg)
+
     def test_constant_alpha_ignores_window(self):
         cfg = default_config()
         cfg["alpha.kind"] = "constant"
@@ -177,6 +188,12 @@ class TestRoundtripAndHash:
         path = tmp_path / "config.txt"
         dump(cfg, path)
         assert load(path) == cfg
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load(path)
 
     def test_dumps_canonical_order(self):
         lines = dumps(default_config()).strip().splitlines()

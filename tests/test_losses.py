@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from noisylab import config as config_mod
 from noisylab.autodiff import Tensor
 from noisylab.losses import (
-    AlphaSchedule,
     LossInputError,
-    alpha_at,
     bootstrap_loss,
     cluster_loss,
     conditional_entropy,
@@ -18,7 +15,7 @@ from noisylab.losses import (
     task_loss,
     total_loss,
 )
-from noisylab.training import LOSS_COLUMNS, build_schedule
+from noisylab.training import LOSS_COLUMNS
 
 
 def _probs(rows, k, seed=0):
@@ -231,38 +228,3 @@ class TestTotalLoss:
         total_loss({"loss_rec": Tensor(np.array(0.25)), "loss_cluster": total}).backward()
         assert clean.grad is not None and np.all(np.isfinite(clean.grad))
 
-
-class TestAlphaSchedule:
-    def test_linear_endpoints_and_monotone(self):
-        sched = AlphaSchedule(kind="linear", start_epoch=10, end_epoch=50)
-        values = [alpha_at(sched, e, 60) for e in range(60)]
-        assert values[0] == 1.0 and values[10] == 1.0
-        assert values[50] == 0.0 and values[59] == 0.0
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_cosine_midpoint(self):
-        sched = AlphaSchedule(kind="cosine", start_epoch=0, end_epoch=40)
-        assert alpha_at(sched, 20, 60) == pytest.approx(0.5)
-
-    def test_step_halves(self):
-        sched = AlphaSchedule(kind="step", start_epoch=10, end_epoch=30)
-        assert alpha_at(sched, 19, 60) == 1.0
-        assert alpha_at(sched, 21, 60) == 0.0
-
-    def test_constant(self):
-        sched = AlphaSchedule(kind="constant", value=0.8)
-        assert all(alpha_at(sched, e, 60) == 0.8 for e in range(60))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AlphaSchedule(kind="linear", start_epoch=5, end_epoch=5)
-        with pytest.raises(ValueError):
-            AlphaSchedule(kind="constant", value=1.5)
-        with pytest.raises(ValueError):
-            AlphaSchedule(kind="exponential")
-        with pytest.raises(ValueError):
-            alpha_at(AlphaSchedule(kind="constant"), 60, 60)
-
-    def test_default_schedule_window(self):
-        sched = build_schedule(config_mod.default_config())
-        assert sched.start_epoch == 6 and sched.end_epoch == 54

@@ -199,7 +199,7 @@ class TestConvMatchesReference:
         rng = _rng(5)
         images = rng.uniform(0, 1, (32, 12, 12)).astype(np.float32)
         onehot = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 32)]
-        opt = SgdOptimizer(ms.parameters(), ms.flat)
+        opt = SgdOptimizer(ms.parameters(), ms.flat, 0.9, 1e-4)
         before = {name: t.data.copy() for name, t in ms.parameters().items()}
         for _ in range(steps):
             ms.zero_grad()

@@ -29,8 +29,8 @@ from noisylab.training import (
     SgdOptimizer,
     ablation_row_config,
     build_dataset,
+    alpha_at,
     build_experiment,
-    build_schedule,
     format_ablation_table,
     load_checkpoint,
     lr_at,
@@ -93,12 +93,12 @@ class TestOptimizer:
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
-            SgdOptimizer(*_flat_params(p=(2,))).step(-0.1)
+            SgdOptimizer(*_flat_params(p=(2,)), 0.9, 1e-4).step(-0.1)
 
     def test_steps_the_parameters_in_place(self):
         params, flat = _flat_params(a=(2, 3), b=(4,))
         views = {name: p.data for name, p in params.items()}
-        opt = SgdOptimizer(params, flat)
+        opt = SgdOptimizer(params, flat, 0.9, 1e-4)
         for p in params.values():
             p.grad = np.ones_like(p.data)
         opt.step(0.1)
@@ -108,7 +108,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("bad", ["a", "c"])
     def test_nan_gradient_names_parameter_and_changes_nothing(self, bad):
         params, flat = _flat_params(a=(2, 3), b=(4,), c=(3, 2))
-        opt = SgdOptimizer(params, flat)
+        opt = SgdOptimizer(params, flat, 0.9, 1e-4)
         for p in params.values():
             p.grad = np.ones_like(p.data)
         params[bad].grad[-1, -1] = np.nan
@@ -120,14 +120,52 @@ class TestOptimizer:
 
 class TestLrSchedule:
     def test_piecewise_decay(self):
-        assert lr_at(0.1, 0, 60, [0.5, 0.75], 0.1) == pytest.approx(0.1)
-        assert lr_at(0.1, 29, 60, [0.5, 0.75], 0.1) == pytest.approx(0.1)
-        assert lr_at(0.1, 30, 60, [0.5, 0.75], 0.1) == pytest.approx(0.01)
-        assert lr_at(0.1, 45, 60, [0.5, 0.75], 0.1) == pytest.approx(0.001)
-        assert lr_at(0.1, 59, 60, [0.5, 0.75], 0.1) == pytest.approx(0.001)
+        cfg = tiny_config(**{"train.epochs": 60})  # optim.lr 0.1, milestones 0.5, 0.75, ratio 0.1
+        assert lr_at(cfg, 0) == pytest.approx(0.1)
+        assert lr_at(cfg, 29) == pytest.approx(0.1)
+        assert lr_at(cfg, 30) == pytest.approx(0.01)
+        assert lr_at(cfg, 45) == pytest.approx(0.001)
+        assert lr_at(cfg, 59) == pytest.approx(0.001)
 
     def test_no_milestones(self):
-        assert lr_at(0.05, 59, 60, [], 0.1) == 0.05
+        assert lr_at(tiny_config(**{"train.epochs": 60, "optim.lr": 0.05, "optim.milestones": []}), 59) == 0.05
+
+
+def _alpha_config(kind, start_frac=0.1, end_frac=0.9, epochs=60, **extra):
+    return tiny_config(**{"alpha.kind": kind, "alpha.start_frac": start_frac,
+                          "alpha.end_frac": end_frac, "train.epochs": epochs, **extra})
+
+
+class TestAlphaSchedule:
+    def test_linear_endpoints_and_monotone(self):
+        # the default window of 60 epochs runs from epoch 6 to epoch 54
+        values = [alpha_at(_alpha_config("linear"), e) for e in range(60)]
+        assert values[0] == 1.0 and values[6] == 1.0 and values[7] < 1.0
+        assert values[53] > 0.0 and values[54] == 0.0 and values[59] == 0.0
+        assert values[30] == pytest.approx(0.5)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_cosine_midpoint(self):
+        assert alpha_at(_alpha_config("cosine", 0.0, 2 / 3), 20) == pytest.approx(0.5)
+
+    def test_step_halves(self):
+        cfg = _alpha_config("step", 1 / 6, 0.5)  # epochs 10 to 30
+        assert alpha_at(cfg, 19) == 1.0
+        assert alpha_at(cfg, 21) == 0.0
+
+    def test_constant(self):
+        cfg = _alpha_config("constant", **{"alpha.constant": 0.8})
+        assert all(alpha_at(cfg, e) == 0.8 for e in range(60))
+
+    def test_window_is_one_epoch_at_least(self):
+        # both fractions of 2 epochs round to epoch 0
+        cfg = _alpha_config("linear", 0.1, 0.2, epochs=2)
+        assert [alpha_at(cfg, e) for e in range(2)] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("epoch", [-1, 60])
+    def test_epoch_outside_run_rejected(self, epoch):
+        with pytest.raises(ValueError, match="outside"):
+            alpha_at(_alpha_config("constant"), epoch)
 
 
 class TestCheckpointFormat:
@@ -256,8 +294,9 @@ class TestCheckpointLoad:
         else:
             arrays[name] = value
         save_checkpoint([ckpt], arrays, **meta)
-        with pytest.raises(CheckpointError, match=name):
-            run_experiment({}, run, resume=True)
+        for stop_after in (None, 0):
+            with pytest.raises(CheckpointError, match=name):
+                run_experiment({}, run, resume=True, stop_after=stop_after)
         with pytest.raises(CheckpointError, match=name):
             load_run_models(run, "last")
 
@@ -279,10 +318,6 @@ class TestWiring:
         assert len(set(train_idx) & set(val_idx)) == 0
         assert len(train_idx) + len(val_idx) == 64
         assert len(val_idx) == 16  # val_fraction 0.25
-
-    def test_build_schedule_constant(self):
-        sched = build_schedule(tiny_config(**{"alpha.kind": "constant", "alpha.constant": 0.7}))
-        assert sched.kind == "constant" and sched.value == 0.7
 
     def test_experiment_cluster_default(self):
         exp = build_experiment(tiny_config())
@@ -456,7 +491,8 @@ class TestRunExperiment:
                 run_experiment(tiny_config(), run)
             assert (run / ".lock").read_text() == content
 
-    @pytest.mark.parametrize("content", ["", "not a pid", "0", str(os.getpid())])
+    @pytest.mark.parametrize("content", ["", "not a pid", "0", str(os.getpid())],
+                             ids=["empty", "text", "zero", "own-pid"])
     def test_unheld_lock_file_does_not_block(self, tmp_path, content):
         # a crash leaves .lock behind, but the kernel released its lock
         run = tmp_path / "run"
@@ -599,6 +635,26 @@ class TestRunExperiment:
         assert (run / "summary.json").read_bytes() == written
         assert summary["last_acc"] is not None and summary["gap"] is not None
         assert not (run / "summary.json.tmp").exists()
+
+    @pytest.mark.parametrize("damage", [None, b"{bad", b"[]", b""], ids=["intact", "torn", "list", "empty"])
+    def test_resume_of_finished_run_rebuilds_summary(self, tmp_path, monkeypatch, damage):
+        run = tmp_path / "run"
+        summary = run_experiment(tiny_config(), run)
+        path = run / "summary.json"
+        written = path.read_bytes()
+        if damage is not None:
+            path.write_bytes(damage)
+        before = os.stat(path)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a finished run needs no dataset or experiment")
+
+        monkeypatch.setattr(training_mod, "load_dataset", unused)
+        monkeypatch.setattr(training_mod, "build_experiment", unused)
+        assert run_experiment({}, run, resume=True) == summary
+        assert path.read_bytes() == written
+        # an intact summary.json is left as it was, not rewritten
+        assert (os.stat(path).st_ino == before.st_ino) == (damage is None)
 
     def test_resume_rejects_missing_metrics_rows(self, tmp_path):
         run = tmp_path / "run"
