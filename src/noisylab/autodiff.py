@@ -22,7 +22,10 @@ scatters the gradient once. No GPU, no broadcasting beyond bias-style
 shapes. A fused node runs the same numpy operations, in the same order and
 dtype, as the chain of single ops it stands for, so its outputs and
 gradients are bit for bit theirs. An operand that needs no gradient gets
-none computed.
+none computed. The three training losses are fused nodes of this kind,
+one per loss, built in ``losses`` with ``Tensor._result``; the losses
+module docstring gives the order in which ``cluster_loss`` sums the clean
+view's gradient terms.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
 (gradient checking needs it).

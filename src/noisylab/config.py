@@ -16,6 +16,7 @@ over the canonical serialization of the fully materialized config.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .augment import ALL_OPS, SEED_BOUND, SPATIAL_OPS
@@ -177,6 +178,8 @@ def validate(cfg: dict) -> dict:
         value = cfg[key]
         if f.choices and value not in f.choices:
             errors.append(f"{key}: {value!r} not one of {list(f.choices)}")
+        elif f.parse is float and not math.isfinite(value):
+            errors.append(f"{key}: invalid value {value!r} (must be finite)")
         elif f.check is not None and not f.check(value):
             errors.append(f"{key}: invalid value {value!r}" + (f" ({f.help})" if f.help else ""))
     if not errors:

@@ -111,6 +111,16 @@ class SgdOptimizer:
         np.multiply(v, lr, out=g)
         self._flat -= g
 
+    def first_nonfinite(self) -> str | None:
+        """The name of the first parameter, then ``velocity.<name>``, that
+        holds an inf or NaN; None when every value is finite."""
+        if np.isfinite(self._flat).all() and np.isfinite(self._velocity).all():
+            return None
+        for name, p in self.params.items():
+            if not np.isfinite(p.data).all():
+                return name
+        return "velocity." + next(name for name, v in self.velocities.items() if not np.isfinite(v).all())
+
 
 def lr_at(cfg: dict, epoch: int) -> float:
     """``optim.lr`` times ``optim.step_ratio`` for each milestone fraction
@@ -386,6 +396,12 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         seen += n
         for col, value in values.items():
             sums[col] += value * n
+
+    # A step can overflow the parameters without a NaN gradient or a loss
+    # over the guard; such an epoch must not reach eval or a checkpoint.
+    bad = exp.optimizer.first_nonfinite()
+    if bad is not None:
+        raise DivergenceError(f"{bad} is not finite after epoch {epoch}")
 
     train_preds = predict_classes(exp.models, ds.features[exp.train_idx])
     val_preds = predict_classes(exp.models, ds.features[exp.val_idx])

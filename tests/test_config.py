@@ -126,6 +126,14 @@ class TestValidate:
             cfg[key] = value
             validate(cfg)
 
+    @pytest.mark.parametrize("key", [k for k, f in config_mod.SCHEMA.items() if f.parse is float])
+    def test_float_fields_must_be_finite(self, key):
+        # optim.lr, optim.weight_decay, losses.lambda and data.separation
+        # only had lower bounds, which inf passes
+        for raw in ("inf", "-inf", "nan"):
+            with pytest.raises(ConfigError, match=rf"{key}: invalid value {raw} \(must be finite\)"):
+                parse_entries([(key, raw)])
+
     def test_bad_choice_rejected(self):
         cfg = default_config()
         cfg["noise.kind"] = "pairwise"

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from noisylab import config as config_mod
+from noisylab import training
 from noisylab.autodiff import Tensor
 from noisylab.losses import (
     LossInputError,
@@ -15,7 +18,7 @@ from noisylab.losses import (
     task_loss,
     total_loss,
 )
-from noisylab.training import LOSS_COLUMNS
+from noisylab.training import LOSS_COLUMNS, ablation_row_config, build_experiment, train_epoch
 
 
 def _probs(rows, k, seed=0):
@@ -228,3 +231,136 @@ class TestTotalLoss:
         total_loss({"loss_rec": Tensor(np.array(0.25)), "loss_cluster": total}).backward()
         assert clean.grad is not None and np.all(np.isfinite(clean.grad))
 
+
+# ---------------------------------------------------------------------------
+# Each training loss is one autodiff node that replays a chain of single
+# ops. The chains are kept here as the reference: every value, part and
+# gradient of a node must equal theirs byte for byte. The pins hold on
+# every numpy the CI runs, whose scalar type promotion differs.
+# ---------------------------------------------------------------------------
+
+def chain_bootstrap_loss(log_pred, noisy_onehot, alpha):
+    onehot = noisy_onehot.data if isinstance(noisy_onehot, Tensor) else np.asarray(noisy_onehot)
+    noisy_ce = -(Tensor(onehot) * log_pred).sum(axis=-1).mean()
+    if alpha == 1.0:
+        return noisy_ce
+    pseudo = np.zeros_like(onehot)
+    pseudo[np.arange(len(pseudo)), log_pred.data.argmax(axis=-1)] = 1.0
+    self_ce = -(Tensor(pseudo) * log_pred).sum(axis=-1).mean()
+    if alpha == 0.0:
+        return self_ce
+    return alpha * noisy_ce + (1.0 - alpha) * self_ce
+
+
+def chain_reconstruction_loss(x_hat, x):
+    target = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=x_hat.dtype))
+    return (x_hat - target).square().mean()
+
+
+def chain_cluster_loss(clean_probs, aug_probs, lam, block_target_grad=True):
+    consistency = consistency_penalty(clean_probs, aug_probs, block_target_grad)
+    kl_uniform = marginal_entropy_term(clean_probs)
+    cond_ent = conditional_entropy(clean_probs)
+    total = consistency + lam * kl_uniform + lam * cond_ent
+    return total, {"consistency": consistency, "kl_uniform": kl_uniform, "cond_entropy": cond_ent}
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _loss_inputs(dtype, seed, n=12, k=4):
+    """Cluster probabilities of both views with exact 0 and 1 entries, so the
+    clamp masks act; log-probabilities; float32 one-hot labels, as training
+    builds them; reconstructions and their targets."""
+    rng = np.random.default_rng(seed)
+    views = []
+    for exact in ([1, 0, 0, 0], [0, 0, 0, 1]):
+        raw = rng.uniform(0, 1, (n, k)) ** 3
+        raw[0], raw[1] = exact, [0, 0.5, 0.5, 0]
+        views.append((raw / raw.sum(axis=1, keepdims=True)).astype(dtype))
+    logits = rng.standard_normal((n, k)) * 3
+    log_pred = (logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))).astype(dtype)
+    onehot = np.eye(k, dtype=np.float32)[rng.integers(0, k, n)]
+    x_hat = rng.uniform(0, 1, (n, 3, 3)).astype(dtype)
+    return (*views, log_pred, onehot, x_hat, rng.uniform(0, 1, (n, 3, 3)))
+
+
+def _losses_and_grads(impl, inputs, alpha, lam, block, target_grad):
+    """Every loss value and part, then the gradient of every input, after a
+    backward from 0.37 times the three losses' sum."""
+    boot, rec, clus = impl
+    clean, aug, log_pred, onehot, x_hat, x = inputs
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (clean, aug, log_pred, x_hat)]
+    target = Tensor(x.copy(), requires_grad=True) if target_grad else x
+    b = boot(leaves[2], onehot, alpha)
+    r = rec(leaves[3], target)
+    c, parts = clus(leaves[0], leaves[1], lam, block)
+    (total_loss({"b": b, "r": r, "c": c}) * 0.37).backward()
+    grads = [t.grad for t in leaves] + ([target.grad] if target_grad else [])
+    return [b.data, r.data, c.data, *(p.data for p in parts.values()), *grads]
+
+
+NODES = (bootstrap_loss, reconstruction_loss, cluster_loss)
+CHAINS = (chain_bootstrap_loss, chain_reconstruction_loss, chain_cluster_loss)
+
+
+class TestLossNodesMatchChains:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.35, 0.5, 1.0])
+    @pytest.mark.parametrize("block", [True, False])
+    def test_values_and_gradients(self, dtype, alpha, block):
+        for seed in range(6):
+            inputs = _loss_inputs(dtype, seed)
+            lam, target_grad = (0.0, 0.7, 1.0)[seed % 3], seed % 2 == 1
+            got = _losses_and_grads(NODES, inputs, alpha, lam, block, target_grad)
+            want = _losses_and_grads(CHAINS, inputs, alpha, lam, block, target_grad)
+            for g, w in zip(got, want, strict=True):
+                _assert_same_bytes(g, w)
+
+    def test_one_node_each(self):
+        clean, aug, log_pred, onehot, x_hat, x = _loss_inputs(np.float32, 0)
+        clean, aug, log_pred, x_hat = (Tensor(a, requires_grad=True) for a in (clean, aug, log_pred, x_hat))
+        nodes = [bootstrap_loss(log_pred, onehot, 0.5), reconstruction_loss(x_hat, x),
+                 cluster_loss(clean, aug, 0.7)[0]]
+        assert [(t.op, len(t._parents)) for t in nodes] == [
+            ("bootstrap_loss", 1), ("reconstruction_loss", 2), ("cluster_loss", 2)]
+        assert all(p.op == "leaf" for t in nodes for p in t._parents)
+
+    def test_no_gradient_for_operands_that_need_none(self):
+        clean, aug, *_ = _loss_inputs(np.float32, 1)
+        total, _ = cluster_loss(Tensor(clean, requires_grad=True), Tensor(aug), 0.7)
+        (parent, _), = total._backward(np.ones((), np.float32))
+        assert parent.data is clean
+
+
+def _trained(cfg, epochs=2):
+    exp = build_experiment(cfg)
+    records = [dataclasses.asdict(train_epoch(exp, epoch)) for epoch in range(epochs)]
+    for record in records:
+        del record["seconds"]
+    return exp, records
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "conv"])
+@pytest.mark.parametrize("row", ["CE", "+A+B+C"])
+def test_training_matches_chains(monkeypatch, backbone, row):
+    """Two epochs of a small desk run, the first at alpha 1 and the second
+    at alpha 0.5, give the parameters, velocities and metrics rows of the
+    same run on the chains."""
+    cfg = config_mod.default_config()
+    cfg.update({"data.samples": 160, "model.backbone": backbone, "model.hidden": 16,
+                "model.feature_dim": 8, "losses.lambda": 0.1, "losses.classification_view": "clean",
+                "train.epochs": 2})
+    cfg = ablation_row_config(config_mod.validate(cfg), row)
+    exp, records = _trained(cfg)
+    for name, chain in zip(("bootstrap_loss", "reconstruction_loss", "cluster_loss"), CHAINS):
+        monkeypatch.setattr(training, name, chain)
+    ref, ref_records = _trained(cfg)
+    _assert_same_bytes(exp.models.flat, ref.models.flat)
+    for name, v in exp.optimizer.velocities.items():
+        _assert_same_bytes(v, ref.optimizer.velocities[name])
+    assert [{k: repr(v) for k, v in r.items()} for r in records] == \
+        [{k: repr(v) for k, v in r.items()} for r in ref_records]

@@ -25,6 +25,7 @@ from noisylab.training import (
     ABLATION_ROWS,
     CheckpointError,
     DivergenceError,
+    METRICS_COLUMNS,
     RunLockError,
     SgdOptimizer,
     ablation_row_config,
@@ -693,6 +694,17 @@ class TestRunExperiment:
         config_mod.dump(other, tmp_path / "run" / "config.txt")
         with pytest.raises(CheckpointError):
             run_experiment({}, tmp_path / "run", resume=True)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_overflowing_step_writes_no_checkpoint(self, tmp_path, epochs):
+        # one batch per epoch: its loss is finite, but the step leaves
+        # inf and NaN parameters; no later batch in the epoch sees them
+        run = tmp_path / "run"
+        cfg = tiny_config(**{"train.epochs": epochs, "train.batch_size": 64, "optim.lr": 1e39})
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="is not finite after epoch 0"):
+            run_experiment(cfg, run)
+        assert [p.name for p in (run / "checkpoints").iterdir()] == ["init.ckpt"]
+        assert (run / "metrics.csv").read_text() == ",".join(METRICS_COLUMNS) + "\n"
 
 
 class TestAblation:
