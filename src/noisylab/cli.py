@@ -142,13 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    schema = config_mod.SCHEMA
     p = sub.add_parser("generate", help="generate a synthetic dataset")
-    p.add_argument("--samples", type=_positive_int, default=2000)
-    p.add_argument("--classes", type=_positive_int, default=4)
+    p.add_argument("--samples", type=_positive_int, default=schema["data.samples"].default)
+    p.add_argument("--classes", type=_positive_int, default=schema["data.classes"].default)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--dims", type=_positive_int, default=2, help="flat feature dimension")
+    group.add_argument("--dims", type=_positive_int, default=schema["data.dims"].default,
+                       help="flat feature dimension")
     group.add_argument("--image", type=_image_shape, default=None, help="image shape, e.g. 12x12")
-    p.add_argument("--separation", type=float, default=4.0)
+    p.add_argument("--separation", type=float, default=schema["data.separation"].default)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

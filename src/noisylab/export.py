@@ -8,7 +8,6 @@ learned to undo.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -49,21 +48,146 @@ def compute_embeddings(models, features: np.ndarray):
     return emb, cluster
 
 
+# embeddings.csv prints each float32 feature as '%.9g' % v: nine
+# significant digits read back as the same float32. The writer builds that
+# text with array operations: a block of rows becomes NUL-padded bytes, and
+# the file gets the non-NUL ones. '%g' prints fixed notation when the decimal
+# exponent d of the rounded value lies in [-4, 8]; such values and zeros are
+# formatted here, the rest (|v| < 1e-4, |v| >= 1e9, inf and nan) by Python's
+# '%'.
+#
+# A feature's cell is three little-endian 64-bit words. Word 0 holds ",",
+# the sign and either "0" (a zero) or "0." and the zeros after it (d < 0).
+# Words 1 and 2 hold the nine digits as three 4-byte slots of three digits,
+# with the decimal point in the slot it falls in.
+_BLOCK_ROWS = 256
+_POW10 = 10.0 ** np.arange(13)
+# bit patterns of |v| sort as |v| does; float32(1e-4) lies below 1e-4
+_FIXED_LO = np.nextafter(np.float32(1e-4), np.float32(1)).view(np.uint32)
+_FIXED_HI = np.float32(1e9).view(np.uint32)
+
+
+def _digit_slots():
+    """Every 3-digit group as a 4-byte slot at index ``(kept * 4 + point) *
+    1000 + group``: only its first ``kept`` digits (the rest are trailing
+    zeros cut from the fraction), and the decimal point after its
+    ``point``-th digit (none for 0)."""
+    digits = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    slots = np.zeros((4, 4, 1000, 4), np.uint8)
+    for kept in range(4):
+        for point in range(4):
+            for i in range(kept):
+                slots[kept, point, :, i + (0 < point <= i)] = digits[:, i]
+            if point:
+                slots[kept, point, :, point] = ord(".")
+    return slots.view("<u4").astype("<u8").ravel()
+
+
+def _slot_offsets():
+    """Where each digit group's slot lies in _DIGIT_SLOTS, per decimal
+    exponent d in [-4, 8] and count of significant digits in [1, 9], at
+    ``(d + 4) * 10 + significant``. Only fraction zeros are cut, and the
+    point goes when no fraction digit is left."""
+    offsets = np.zeros((3, 130), np.int64)
+    for d in range(-4, 9):
+        whole = max(d + 1, 0)  # digits before the point
+        for significant in range(1, 10):
+            kept = max(significant, whole)
+            point = whole if 0 < whole < significant else 0
+            for group in range(3):
+                k = min(max(kept - 3 * group, 0), 3)
+                p = point - 3 * group if 0 < point - 3 * group <= 3 else 0
+                offsets[group, (d + 4) * 10 + significant] = (k * 4 + p) * 1000
+    return offsets
+
+
+_DIGIT_SLOTS = _digit_slots()
+_SLOT_OFFSETS = _slot_offsets()
+# word 0 after "," and the sign, per d in [-4, 8]
+_LEAD = np.array([int.from_bytes(b"\0\0" + (b"0." + b"0" * (-d - 1) if d < 0 else b""), "little")
+                  for d in range(-4, 9)], "<u8")
+# digits of a 3-digit group up to its last nonzero one
+_GROUP_LEN = 3 - sum(np.arange(1000) % m == 0 for m in (10, 100, 1000))
+
+
+def _feature_cells(feats: np.ndarray) -> np.ndarray:
+    """``(rows, dim)`` float32 features as ``(rows, dim, 3)`` cells of
+    ``',%.9g' % v``, NUL-padded."""
+    cells = np.zeros(feats.shape + (3,), "<u8")
+    bits = feats.view(np.uint32)
+    mag = bits & np.uint32(0x7FFFFFFF)
+    cells[..., 0] = (ord(",") + (bits >> 31) * np.uint32(ord("-") << 8)
+                     + (mag == 0) * np.uint32(ord("0") << 16))
+    fixed = (mag >= _FIXED_LO) & (mag < _FIXED_HI)
+    at = np.nonzero(fixed)
+    a = np.abs(feats[at], dtype=np.float64)
+    # log10 only estimates d: a libm may round it below an exact power of
+    # ten. A float32's 24-bit significand times 5**k for k <= 12 fits in 53
+    # bits, so products with 10**k are exact and settle d. Rounding to nine
+    # digits never carries into a tenth: no float32 lies within half a
+    # ninth-digit unit below a power of ten.
+    d = np.clip(np.floor(np.log10(a)), -4, 8).astype(np.int64)
+    scaled = a * _POW10[8 - d]
+    d += (scaled >= 1e9).astype(np.int64) - (scaled < 1e8)
+    digits = np.rint(a * _POW10[8 - d]).astype(np.int64)  # ties to even, as in CPython
+    g0, rest = np.divmod(digits, 1000000)
+    g1, g2 = np.divmod(rest, 1000)
+    n1, n2 = _GROUP_LEN[g1], _GROUP_LEN[g2]
+    layout = (d + 4) * 10 + np.where(n2 > 0, 6 + n2, np.where(n1 > 0, 3 + n1, _GROUP_LEN[g0]))
+    cells[at + (0,)] |= _LEAD[d + 4]
+    cells[at + (1,)] = (_DIGIT_SLOTS[_SLOT_OFFSETS[0][layout] + g0]
+                        | _DIGIT_SLOTS[_SLOT_OFFSETS[1][layout] + g1] << np.uint64(32))
+    cells[at + (2,)] = _DIGIT_SLOTS[_SLOT_OFFSETS[2][layout] + g2]
+    for i in zip(*np.nonzero(~fixed & (mag != 0))):
+        # at most 16 bytes: ",-1.23456789e-45"
+        cells[i] = np.frombuffer((b",%.9g" % float(feats[i])).ljust(24, b"\0"), "<u8")
+    return cells
+
+
+def _int_text(values: np.ndarray, width: int) -> np.ndarray:
+    """Non-negative ints as ``width`` right-aligned ASCII digits, NUL in
+    place of leading zeros."""
+    scale = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    q = values[..., None] // scale
+    return ((q % 10 + ord("0")) * ((q > 0) | (scale == 1))).astype(np.uint8)
+
+
+def _words(text: np.ndarray) -> np.ndarray:
+    """``(rows, n)`` bytes NUL-padded in front to whole '<u8' words."""
+    rows, n = text.shape
+    out = np.zeros((rows, -(-n // 8) * 8), np.uint8)
+    out[:, out.shape[1] - n:] = text
+    return out.view("<u8")
+
+
+def _csv_rows(feats: np.ndarray, tail: np.ndarray, first: int) -> bytes:
+    """CSV rows ``first, first + 1, ...``: index, features, then the four
+    ``tail`` columns."""
+    rows = len(feats)
+    index = _int_text(np.arange(first, first + rows), len(str(first + rows - 1)))
+    ends = np.zeros((rows, 4, len(str(tail.max())) + 1), np.uint8)
+    ends[:, :, 0] = ord(",")
+    ends[:, :, 1:] = _int_text(tail, ends.shape[2] - 1)
+    ends = np.concatenate([ends.reshape(rows, -1), np.full((rows, 2), list(b"\r\n"), np.uint8)], axis=1)
+    block = np.concatenate([_words(index), _feature_cells(feats).reshape(rows, -1), _words(ends)], axis=1)
+    words = block.ravel()
+    text = np.compress(words != 0, words).view(np.uint8)
+    return np.compress(text != 0, text).tobytes()
+
+
 def export_embeddings_csv(exp, path) -> int:
     """Write one row per sample: index, feature vector, labels, cluster,
     corrupted flag. Returns the row count. The file is replaced whole or
     not at all."""
     ds: LabeledDataset = exp.dataset
     emb, cluster = compute_embeddings(exp.models, ds.features)
-    dim = emb.shape[1]
     tail = np.stack([ds.noisy_labels, ds.clean_labels, cluster, ds.corrupted], axis=1)
-    # Nine significant digits round-trip every float32 feature.
-    row = "%d" + ",%.9g" * dim + ",%d,%d,%d,%d\r\n"
-    with replacing(path) as raw, io.TextIOWrapper(raw, encoding="ascii", newline="") as fh:
-        fh.write(",".join(["index"] + [f"f{i}" for i in range(dim)]
-                          + ["noisy_label", "clean_label", "cluster", "corrupted"]) + "\r\n")
-        for i, (feats, labels) in enumerate(zip(emb, tail)):
-            fh.write(row % (i, *feats.tolist(), *labels.tolist()))
+    header = ",".join(["index"] + [f"f{i}" for i in range(emb.shape[1])]
+                      + ["noisy_label", "clean_label", "cluster", "corrupted"])
+    with replacing(path) as fh:
+        fh.write(header.encode("ascii") + b"\r\n")
+        for lo in range(0, len(emb), _BLOCK_ROWS):
+            fh.write(_csv_rows(emb[lo : lo + _BLOCK_ROWS], tail[lo : lo + _BLOCK_ROWS], lo))
     return len(ds)
 
 

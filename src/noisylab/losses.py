@@ -43,7 +43,7 @@ class LossInputError(ValueError):
 
 def _check_rows_normalized(probs: Tensor, name: str):
     sums = probs.data.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > PROB_ROW_TOL):
+    if not np.all(np.abs(sums - 1.0) <= PROB_ROW_TOL):  # NaN sums fail too
         worst = float(np.abs(sums - 1.0).max())
         raise LossInputError(f"{name}: rows must sum to 1 (max deviation {worst:.3g})")
 
@@ -225,7 +225,7 @@ def bootstrap_loss(log_pred: Tensor, noisy_onehot, alpha: float) -> Tensor:
         )
     lp = log_pred.data
     rows = np.exp(lp)
-    if np.any(np.abs(rows.sum(axis=-1) - 1.0) > PROB_ROW_TOL):
+    if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= PROB_ROW_TOL):
         raise LossInputError("bootstrap_loss: exp(log_pred) rows must sum to 1")
     if alpha != 0.0:
         noisy_ce, noisy_grad = _cross_entropy(Tensor(onehot).data, lp)

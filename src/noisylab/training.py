@@ -242,7 +242,8 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
     """Wire a config into an experiment. The parameters are drawn from
     ``seeds.init``; given a checkpoint's arrays, the parameters and velocities
     are copied from them instead and nothing is drawn. A checkpoint whose
-    names, shapes or dtypes do not fit the model raises CheckpointError."""
+    names, shapes or dtypes do not fit the model, or that holds an inf or
+    NaN, raises CheckpointError."""
     cfg = config_mod.validate(dict(cfg))
     ds = dataset if dataset is not None else build_dataset(cfg)
     train_idx, val_idx = split_indices(cfg, len(ds))
@@ -277,6 +278,9 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
                                       f"{checkpoint[name].dtype}, expected {a.dtype}")
         for name, a in state.items():
             a[...] = checkpoint[name]
+        bad = optimizer.first_nonfinite()
+        if bad is not None:
+            raise CheckpointError(f"checkpoint array {bad!r} is not finite")
     return exp
 
 

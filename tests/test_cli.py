@@ -9,7 +9,7 @@ import pytest
 
 from noisylab import config as config_mod
 from noisylab import data as data_mod
-from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from noisylab.data import load_dataset
 from noisylab.export import compute_embeddings, export_embeddings_csv, export_gallery, load_run_models
 from noisylab.training import load_checkpoint, run_experiment, save_checkpoint
@@ -41,6 +41,12 @@ def test_generate_flat(tmp_path):
     out = tmp_path / "ds.bin"
     assert main(["generate", "--samples", "20", "--dims", "3", "--out", str(out)]) == EXIT_OK
     assert load_dataset(out).input_shape == (3,)
+
+
+def test_generate_defaults_follow_config_schema():
+    args = build_parser().parse_args(["generate", "--out", "ds.bin"])
+    assert (args.samples, args.classes, args.dims, args.separation) == tuple(
+        config_mod.SCHEMA[key].default for key in ("data.samples", "data.classes", "data.dims", "data.separation"))
 
 
 def test_corrupt_writes_noise_and_matrix(tmp_path, capsys):
@@ -260,6 +266,22 @@ def test_checkpoint_dtype_mismatch_rejected(stopped_run, tmp_path, capsys):
     assert main(["export", "--run", str(run), "--checkpoint", "last",
                  "--out-dir", str(tmp_path / "out")]) == EXIT_RUNTIME
     assert "'backbone.w1' has dtype int64, expected float32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["backbone.w1", "velocity.cluster.w"])
+def test_non_finite_checkpoint_rejected(stopped_run, tmp_path, capsys, name):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    ckpt = run / "checkpoints" / "last.ckpt"
+    arrays, meta = load_checkpoint(ckpt)
+    arrays[name].flat[-1] = np.nan
+    save_checkpoint([ckpt], arrays, **meta)
+    out = tmp_path / "out"
+    assert main(["export", "--run", str(run), "--checkpoint", "last", "--out-dir", str(out)]) == EXIT_RUNTIME
+    assert f"checkpoint array {name!r} is not finite" in capsys.readouterr().err
+    assert not (out / "embeddings.csv").exists()
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    assert f"checkpoint array {name!r} is not finite" in capsys.readouterr().err
 
 
 def test_version_1_files_rejected(tmp_path, capsys):

@@ -198,6 +198,17 @@ class TestBootstrapLoss:
             bootstrap_loss(Tensor(_probs(2, 3)), _onehot(np.array([0, 1]), 3), alpha=0.5)
 
 
+@pytest.mark.parametrize("loss", ["task_loss", "cluster_loss", "bootstrap_loss"])
+def test_nan_rows_rejected(loss):
+    # abs(nan - 1) > tol is False, so a row check must ask for <= tol instead
+    nan = Tensor(np.full((2, 3), np.nan))
+    onehot = _onehot(np.array([0, 1]), 3)
+    with pytest.raises(LossInputError):
+        {"task_loss": lambda: task_loss(nan, onehot),
+         "cluster_loss": lambda: cluster_loss(nan, nan, lam=1.0),
+         "bootstrap_loss": lambda: bootstrap_loss(nan, onehot, alpha=0.5)}[loss]()
+
+
 class TestTotalLoss:
     def test_sums_enabled_parts(self):
         terms = {
