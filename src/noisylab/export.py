@@ -60,7 +60,7 @@ def compute_embeddings(models, features: np.ndarray):
 # the sign and either "0" (a zero) or "0." and the zeros after it (d < 0).
 # Words 1 and 2 hold the nine digits as three 4-byte slots of three digits,
 # with the decimal point in the slot it falls in.
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 128
 _POW10 = 10.0 ** np.arange(13)
 # bit patterns of |v| sort as |v| does; float32(1e-4) lies below 1e-4
 _FIXED_LO = np.nextafter(np.float32(1e-4), np.float32(1)).view(np.uint32)
@@ -110,10 +110,10 @@ _LEAD = np.array([int.from_bytes(b"\0\0" + (b"0." + b"0" * (-d - 1) if d < 0 els
 _GROUP_LEN = 3 - sum(np.arange(1000) % m == 0 for m in (10, 100, 1000))
 
 
-def _feature_cells(feats: np.ndarray) -> np.ndarray:
-    """``(rows, dim)`` float32 features as ``(rows, dim, 3)`` cells of
-    ``',%.9g' % v``, NUL-padded."""
-    cells = np.zeros(feats.shape + (3,), "<u8")
+def _feature_cells(feats: np.ndarray, cells: np.ndarray) -> None:
+    """Write ``(rows, dim)`` float32 features into ``(rows, dim, 3)``
+    ``cells`` as ``',%.9g' % v``, NUL-padded."""
+    cells[...] = 0
     bits = feats.view(np.uint32)
     mag = bits & np.uint32(0x7FFFFFFF)
     cells[..., 0] = (ord(",") + (bits >> 31) * np.uint32(ord("-") << 8)
@@ -141,7 +141,6 @@ def _feature_cells(feats: np.ndarray) -> np.ndarray:
     for i in zip(*np.nonzero(~fixed & (mag != 0))):
         # at most 16 bytes: ",-1.23456789e-45"
         cells[i] = np.frombuffer((b",%.9g" % float(feats[i])).ljust(24, b"\0"), "<u8")
-    return cells
 
 
 def _int_text(values: np.ndarray, width: int) -> np.ndarray:
@@ -160,19 +159,49 @@ def _words(text: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _csv_rows(feats: np.ndarray, tail: np.ndarray, first: int) -> bytes:
-    """CSV rows ``first, first + 1, ...``: index, features, then the four
-    ``tail`` columns."""
-    rows = len(feats)
-    index = _int_text(np.arange(first, first + rows), len(str(first + rows - 1)))
-    ends = np.zeros((rows, 4, len(str(tail.max())) + 1), np.uint8)
+# The block buffer, kept from one export to the next. Made afresh for each
+# block or export, it was handed back to the system when freed and
+# page-faulted in again when next used.
+_buffer = np.empty(0, np.uint8)
+
+
+def _block_buffer(nbytes: int) -> np.ndarray:
+    global _buffer
+    if _buffer.size < nbytes:
+        _buffer = np.empty(nbytes, np.uint8)
+    return _buffer[:nbytes]
+
+
+def _csv_blocks(feats: np.ndarray, tail: np.ndarray):
+    """The CSV rows of ``feats``, ``_BLOCK_ROWS`` at a time: index,
+    features, then the four ``tail`` columns. Each block comes as a uint8
+    view of the block buffer, which the next block overwrites."""
+    count, dim = feats.shape
+    # every row's index and tail text, as whole words; fields are as wide as
+    # the table's longest, and the NULs in front are dropped
+    index = _words(_int_text(np.arange(count), len(str(count - 1))))
+    ends = np.zeros((count, 4, len(str(tail.max())) + 1), np.uint8)
     ends[:, :, 0] = ord(",")
     ends[:, :, 1:] = _int_text(tail, ends.shape[2] - 1)
-    ends = np.concatenate([ends.reshape(rows, -1), np.full((rows, 2), list(b"\r\n"), np.uint8)], axis=1)
-    block = np.concatenate([_words(index), _feature_cells(feats).reshape(rows, -1), _words(ends)], axis=1)
-    words = block.ravel()
-    text = np.compress(words != 0, words).view(np.uint8)
-    return np.compress(text != 0, text).tobytes()
+    ends = _words(np.concatenate([ends.reshape(count, -1), np.full((count, 2), list(b"\r\n"), np.uint8)], axis=1))
+    first, last = index.shape[1], index.shape[1] + 3 * dim
+    # one buffer for a block, its non-NUL words and their non-NUL bytes; the
+    # mask of words to keep goes where the bytes will, and the mask of bytes
+    # to keep where the block was
+    size = min(count, _BLOCK_ROWS) * (last + ends.shape[1])
+    buf = _block_buffer(24 * size)
+    block = buf[: 8 * size].view("<u8").reshape(-1, last + ends.shape[1])
+    packed = buf[8 * size : 16 * size].view("<u8")
+    text = buf[16 * size :]
+    for lo in range(0, count, len(block)):
+        b = block[: min(len(block), count - lo)]
+        b[:, :first] = index[lo : lo + len(b)]
+        _feature_cells(feats[lo : lo + len(b)], b[:, first:last].reshape(len(b), dim, 3))
+        b[:, last:] = ends[lo : lo + len(b)]
+        k = np.not_equal(b.ravel(), 0, out=text[: b.size].view(bool))
+        w = np.compress(k, b.ravel(), out=packed[: np.count_nonzero(k)]).view(np.uint8)
+        k = np.not_equal(w, 0, out=buf[: w.size].view(bool))
+        yield np.compress(k, w, out=text[: np.count_nonzero(k)])
 
 
 def export_embeddings_csv(exp, path) -> int:
@@ -186,8 +215,8 @@ def export_embeddings_csv(exp, path) -> int:
                       + ["noisy_label", "clean_label", "cluster", "corrupted"])
     with replacing(path) as fh:
         fh.write(header.encode("ascii") + b"\r\n")
-        for lo in range(0, len(emb), _BLOCK_ROWS):
-            fh.write(_csv_rows(emb[lo : lo + _BLOCK_ROWS], tail[lo : lo + _BLOCK_ROWS], lo))
+        for text in _csv_blocks(emb, tail):
+            fh.write(text)
     return len(ds)
 
 

@@ -224,7 +224,8 @@ def bootstrap_loss(log_pred: Tensor, noisy_onehot, alpha: float) -> Tensor:
             f"bootstrap_loss: labels shape {onehot.shape} vs predictions {log_pred.shape}"
         )
     lp = log_pred.data
-    rows = np.exp(lp)
+    # a log_softmax result holds exp(lp) already
+    rows = np.exp(lp) if log_pred._exp is None else log_pred._exp
     if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= PROB_ROW_TOL):
         raise LossInputError("bootstrap_loss: exp(log_pred) rows must sum to 1")
     if alpha != 0.0:

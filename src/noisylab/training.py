@@ -77,6 +77,15 @@ class SgdOptimizer:
     out one after another in dict order, as ``ModelSet.flat`` is. Each
     ``velocities[name]`` is the matching view into one velocity buffer, so a
     step is a few array operations over all parameters.
+
+    Gradients live in a third buffer of the same layout: the optimizer makes
+    each parameter's view of it that parameter's ``grad_buffer``, so
+    ``Tensor.backward`` writes the gradient there and ``grad`` is that view.
+    ``step`` reads the buffer where it stands; a ``grad`` of None counts as
+    zero, and a ``grad`` set to any other array is copied in. The step then
+    uses the buffer as scratch space and sets every ``grad`` to None: the
+    step clears the gradients, no ``grad`` shows its scratch values, and
+    the next backward writes each view afresh.
     """
 
     def __init__(self, params: dict, flat: np.ndarray, momentum: float, weight_decay: float):
@@ -86,20 +95,25 @@ class SgdOptimizer:
         self._flat = flat
         self._velocity = np.zeros_like(flat)
         self._grad = np.empty_like(flat)
-        self._zero = np.zeros(max(p.data.size for p in params.values()), flat.dtype)
         self.velocities = {}
+        self._grads = {}
         lo = 0
         for name, p in params.items():
-            self.velocities[name] = self._velocity[lo : lo + p.data.size].reshape(p.data.shape)
-            lo += p.data.size
+            shape, hi = p.data.shape, lo + p.data.size
+            self.velocities[name] = self._velocity[lo:hi].reshape(shape)
+            self._grads[name] = p.grad_buffer = self._grad[lo:hi].reshape(shape)
+            lo = hi
 
     def step(self, lr: float):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
-        grads = [self._zero[: p.data.size] if p.grad is None else p.grad for p in self.params.values()]
-        g = np.concatenate(grads, axis=None, out=self._grad)
-        if np.isnan(g).any():
-            name = next(name for name, grad in zip(self.params, grads) if np.isnan(grad).any())
+        for p, view in zip(self.params.values(), self._grads.values()):
+            if p.grad is not view:
+                view[...] = 0 if p.grad is None else p.grad
+        g = self._grad
+        # min propagates NaN, warns about nothing and needs no bool array
+        if np.isnan(g.min()):
+            name = next(name for name, view in self._grads.items() if np.isnan(view).any())
             raise DivergenceError(f"NaN gradient in parameter {name!r}")
         # This order, ((momentum * v) + grad) + (weight_decay * param), fixes
         # every step's float32 rounding. Once added, g is scratch space.
@@ -110,6 +124,8 @@ class SgdOptimizer:
         v += g
         np.multiply(v, lr, out=g)
         self._flat -= g
+        for p in self.params.values():
+            p.grad = None
 
     def first_nonfinite(self) -> str | None:
         """The name of the first parameter, then ``velocity.<name>``, that
@@ -328,18 +344,17 @@ METRICS_COLUMNS = [f.name for f in fields(MetricsRecord)]
 LOSS_COLUMNS = [c for c in METRICS_COLUMNS if c.startswith("loss_")]
 
 
-def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
-    """One pass over shuffled train batches, then a full evaluation."""
+def _train_pass(exp: Experiment, epoch: int, lr: float, alpha: float) -> dict:
+    """Train on the epoch's shuffled batches; returns each loss column's
+    mean over the samples. Its arrays and the last batch's graph are freed
+    when it returns, before the eval."""
     cfg = exp.cfg
-    t0 = time.perf_counter()
-    lr, alpha = lr_at(cfg, epoch), alpha_at(cfg, epoch)
-
     ds = exp.dataset
-    c = ds.num_classes
-    noisy_onehot = _onehot(ds.noisy_labels, c)
-
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seeds.data"], 23, epoch))))
     order = exp.train_idx[shuffle_rng.permutation(len(exp.train_idx))]
+    # the epoch's rows in batch order, gathered once; each batch is a slice
+    x_epoch = ds.features[order]
+    noisy_epoch = _onehot(ds.noisy_labels[order], ds.num_classes)
 
     batch_size = cfg["train.batch_size"]
     sums = dict.fromkeys(LOSS_COLUMNS, 0.0)
@@ -353,15 +368,15 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     needs_clean = use_c or (use_a and classify_clean)
     # Rows are augmented independently: one call over the epoch's order gives
     # each batch the bytes of a call per batch, for one call's fixed cost.
-    x_aug_epoch = augment_batch(exp.policy, ds.features[order], cfg["seeds.augment"],
+    x_aug_epoch = augment_batch(exp.policy, x_epoch, cfg["seeds.augment"],
                                 epoch, order) if needs_aug else None
 
     for lo in range(0, len(order), batch_size):
-        idx = order[lo : lo + batch_size]
-        x_clean_np = ds.features[idx]
+        hi = lo + batch_size
+        x_clean_np = x_epoch[lo:hi]
         feat_aug = None
         if needs_aug:
-            feat_aug = exp.models.backbone(Tensor(x_aug_epoch[lo : lo + batch_size]))
+            feat_aug = exp.models.backbone(Tensor(x_aug_epoch[lo:hi]))
 
         feat_clean = None
         if needs_clean:
@@ -374,7 +389,7 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         if use_a:
             feats = feat_clean if classify_clean else feat_aug
             log_pred = exp.models.classifier.log_probs(feats)
-            terms["loss_bootstrap"] = bootstrap_loss(log_pred, noisy_onehot[idx], alpha)
+            terms["loss_bootstrap"] = bootstrap_loss(log_pred, noisy_epoch[lo:hi], alpha)
         if use_b:
             x_hat = exp.models.decoder(feat_aug)
             terms["loss_rec"] = reconstruction_loss(x_hat, x_clean_np)
@@ -392,14 +407,23 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
                 f"loss {values['loss_total']} at epoch {epoch} exceeds the divergence guard"
             )
 
-        exp.models.zero_grad()
+        # the step clears the gradients it reads
         total.backward()
         exp.optimizer.step(lr)
 
-        n = len(idx)
+        n = len(x_clean_np)
         seen += n
         for col, value in values.items():
             sums[col] += value * n
+
+    return {col: s / seen for col, s in sums.items()}
+
+
+def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
+    """One pass over shuffled train batches, then a full evaluation."""
+    t0 = time.perf_counter()
+    lr, alpha = lr_at(exp.cfg, epoch), alpha_at(exp.cfg, epoch)
+    losses = _train_pass(exp, epoch, lr, alpha)
 
     # A step can overflow the parameters without a NaN gradient or a loss
     # over the guard; such an epoch must not reach eval or a checkpoint.
@@ -407,6 +431,7 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
     if bad is not None:
         raise DivergenceError(f"{bad} is not finite after epoch {epoch}")
 
+    ds = exp.dataset
     train_preds = predict_classes(exp.models, ds.features[exp.train_idx])
     val_preds = predict_classes(exp.models, ds.features[exp.val_idx])
     corrupted_mask = ds.corrupted[exp.train_idx]
@@ -417,7 +442,7 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         epoch=epoch,
         lr=lr,
         alpha=alpha,
-        **{col: s / seen for col, s in sums.items()},
+        **losses,
         train_acc_noisy=_accuracy(train_preds, ds.noisy_labels[exp.train_idx]),
         val_acc_clean=_accuracy(val_preds, ds.clean_labels[exp.val_idx]),
         corrupted_subset_acc=_accuracy(corrupted_preds, corrupted_clean),
