@@ -2,16 +2,21 @@
 
 Tensors wrap numpy arrays and record the operations that produced them as
 a graph of parent links plus backward closures. Calling ``backward()`` on a
-scalar tensor walks that graph in reverse topological order and accumulates
-gradients into every reachable tensor with ``requires_grad=True``. Inside
+scalar tensor walks that graph in reverse topological order, accumulates
+gradients into every reachable tensor with ``requires_grad=True`` and
+consumes the graph as it goes, as PyTorch does by default: each op node,
+once it has passed its gradient on, drops its parents and its closure, so
+the activations, im2col rows, relu masks and pooling slots it held are
+freed during the walk, and a second backward through a used graph raises
+RuntimeError. A training step thus holds one batch graph at a time. Inside
 ``no_grad()`` no graph is recorded, for passes whose results are only read.
 
 A leaf's gradient is its ``grad``. A leaf with a ``grad_buffer`` (a
 training optimizer gives every model parameter a view of its flat gradient
 buffer) gets its gradient copied into that array, which becomes its
 ``grad``; a second backward adds to it in place. Without one, ``grad`` is a
-fresh array. Nothing here zeroes a gradient: ``zero_grad()`` sets ``grad``
-to None, and so does the optimizer's step once it has used the gradients.
+fresh array. Nothing here zeroes a gradient: the optimizer's step sets each
+``grad`` to None once it has used the gradients.
 
 The operator catalog is exactly what the small models and losses need:
 ``linear``, ``conv2d`` and ``conv_transpose2d`` (each a product, bias add
@@ -79,6 +84,11 @@ def no_grad():
         _recording = saved
 
 
+def _spent(g):
+    """The backward closure of an op node whose graph a backward used."""
+    raise RuntimeError("this node's graph was freed by the backward that used it")
+
+
 class Tensor:
     """A numpy array with an optional gradient and graph provenance."""
 
@@ -138,20 +148,17 @@ class Tensor:
         """Same values, cut off from the graph (no gradient flows through)."""
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
     # -- backward pass -----------------------------------------------------
     def backward(self):
-        """Accumulate gradients of this scalar w.r.t. every reachable leaf."""
+        """Accumulate gradients of this scalar w.r.t. every reachable leaf,
+        consuming the graph (see the module docstring); a backward through
+        a used graph raises RuntimeError before any gradient changes."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        topo, seen, stack = [], set(), [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -159,27 +166,28 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                raise RuntimeError(f"backward through a used graph: its {node.op} node was freed by an earlier backward")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        # popped in reverse topological order, so a node goes once used
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward is None:
-                node._accumulate(g)
+                if g is not None:
+                    node._accumulate(g)
                 continue
-            for parent, pg in node._backward(g):
-                if not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+            pairs = () if g is None else node._backward(g)
+            node._parents, node._backward = (), _spent
+            for parent, pg in pairs:
+                if parent.requires_grad:
+                    key = id(parent)
+                    grads[key] = grads[key] + pg if key in grads else pg
 
     def _accumulate(self, g):
         """Add a leaf's gradient from one backward to ``grad``: into its

@@ -197,9 +197,5 @@ class ModelSet:
                 params[f"{prefix}.{name}"] = tensor
         return params
 
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
-
     def state_arrays(self) -> dict:
         return {name: p.data for name, p in self.parameters().items()}

@@ -1,4 +1,5 @@
 import functools
+import weakref
 import zlib
 from collections import Counter
 
@@ -131,23 +132,68 @@ class TestBackward:
         w1 = rng.standard_normal((5, 7)).astype(np.float32)
         w2 = rng.standard_normal((7, 3)).astype(np.float32)
 
-        def grads(x_leaf):
+        def graph(x_leaf):
             ws = [Tensor(w.copy(), requires_grad=True) for w in (w1, w2)]
-            out = x_leaf.matmul(ws[0]).sigmoid().matmul(ws[1])
+            return x_leaf.matmul(ws[0]).sigmoid().matmul(ws[1]), ws
+
+        def grads(out, ws):
             out.square().sum().backward()
-            return out, [w.grad for w in ws]
+            return [w.grad for w in ws]
 
         x_leaf = Tensor(x)
-        out, got = grads(x_leaf)
-        assert x_leaf.grad is None
+        out, ws = graph(x_leaf)
+        # backward frees the graph, so it is read before
         first = out._parents[0]._parents[0]
         assert first.op == "matmul"
         g = np.ones(first.shape, dtype=np.float32)
         assert [t for t, _ in first._backward(g)] == [first._parents[1]]
+        got = grads(out, ws)
+        assert x_leaf.grad is None
         # same bits as when the input's gradient is computed too
-        _, want = grads(Tensor(x, requires_grad=True))
+        want = grads(*graph(Tensor(x, requires_grad=True)))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    def test_backward_frees_the_graph(self):
+        """With the loss still held, the arrays a conv2d -> max_pool2d ->
+        linear graph recorded are freed once backward returns."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 4, 4, 1)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        fw = Tensor(rng.standard_normal((12, 2)).astype(np.float32), requires_grad=True)
+        fb = Tensor(np.zeros(2, np.float32), requires_grad=True)
+        conv = conv2d(x, w, b, padding=1, relu=True)
+        pool = max_pool2d(conv, 2)
+        loss = linear(pool.reshape(2, -1), fw, fb).square().sum()
+        # the outputs, the relu mask and the pool's slots; only the graph
+        # holds the last two
+        refs = [weakref.ref(a) for a in (conv.data, pool.data, conv._backward.__defaults__[-1],
+                                         pool._backward.__defaults__[-1])]
+        del conv, pool
+        assert all(r() is not None for r in refs)
+        loss.backward()
+        assert [i for i, r in enumerate(refs) if r() is not None] == []
+        assert loss._parents == () and all(t.grad is not None for t in (w, b, fw, fb))
+
+    def test_second_backward_raises_and_keeps_gradients(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
+        b.grad_buffer = np.empty(2, np.float32)
+        h = linear(x, w, b, relu=True)
+        loss = h.sigmoid().sum()
+        loss.backward()
+        before = [(t.grad, t.grad.tobytes()) for t in (w, b)]
+        with pytest.raises(RuntimeError, match="its sum node"):
+            loss.backward()
+        # a new loss on a node of the used graph, next to a live leaf
+        with pytest.raises(RuntimeError, match="its linear node"):
+            (h.square().sum() + w.sum()).backward()
+        with pytest.raises(RuntimeError):
+            loss._backward(np.ones((), np.float32))
+        assert all(t.grad is g and t.grad.tobytes() == bytes_ for t, (g, bytes_) in zip((w, b), before))
 
     def test_mlp_matches_finite_differences(self):
         # 3-layer perceptron; checks the whole chain at once

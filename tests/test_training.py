@@ -12,12 +12,14 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from noisylab import config as config_mod
 from noisylab import data as data_mod
+from noisylab import models as models_mod
 from noisylab import training as training_mod
 from noisylab.augment import ALL_OPS, augment_batch
 from noisylab.autodiff import Tensor
@@ -170,7 +172,7 @@ class TestGradientBuffer:
     def test_step_consumes_the_gradients(self):
         """The rule: a step sets every ``grad`` to None, so none shows the
         scratch values the step leaves in the buffer, and the next backward
-        writes the buffer afresh, as after ``zero_grad``."""
+        writes the buffer afresh, as after setting each ``grad`` to None."""
         ms, opt = _small_models(register=True)
         ref, _ = _small_models(register=False)
         for seed in range(3):
@@ -181,7 +183,8 @@ class TestGradientBuffer:
             opt.step(0.1)
             assert all(p.grad is None for p in ms.parameters().values())
             ref.flat[...] = ms.flat
-            ref.zero_grad()
+            for p in ref.parameters().values():
+                p.grad = None
 
     def test_second_backward_adds_in_place(self):
         ms, _ = _small_models(register=True)
@@ -190,7 +193,8 @@ class TestGradientBuffer:
         _batch_loss(ms, 2).backward()
         _batch_loss(ref, 1).backward()
         g1 = {name: p.grad for name, p in ref.parameters().items()}
-        ref.zero_grad()
+        for p in ref.parameters().values():
+            p.grad = None
         _batch_loss(ref, 2).backward()
         for (name, p), q in zip(ms.parameters().items(), ref.parameters().values()):
             assert p.grad is p.grad_buffer
@@ -509,6 +513,37 @@ class TestWiring:
                                    order[lo : lo + size])
                      for lo in range(0, len(order), size)]
         assert whole.tobytes() == np.concatenate(per_batch).tobytes()
+
+    def test_one_batch_graph_alive_at_a_time(self, monkeypatch):
+        """When a batch's first backbone forward starts, no conv output of
+        an earlier batch is alive: each backward freed its batch's graph."""
+        cfg = ablation_row_config(tiny_config(**{"data.samples": 90, "model.backbone": "conv",
+                                                 "data.image_size": 12}), "+A+B+C")
+        exp = build_experiment(cfg)
+        outputs, alive, steps = [], [], []
+        conv2d, backbone, step = models_mod.conv2d, exp.models.backbone, exp.optimizer.step
+
+        def recording_conv2d(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        def checking_backbone(x):
+            if len(alive) < len(steps):  # the first forward after a step
+                alive.append(sum(r() is not None for r in outputs))
+            return backbone(x)
+
+        def counting_step(lr):
+            step(lr)
+            steps.append(lr)
+
+        monkeypatch.setattr(models_mod, "conv2d", recording_conv2d)
+        monkeypatch.setattr(exp.models, "backbone", checking_backbone)
+        monkeypatch.setattr(exp.optimizer, "step", counting_step)
+        training_mod._train_pass(exp, 0, 0.1, 0.5)
+        # a batch: three convs in each of two backbone views, one in the decoder
+        assert len(steps) == 3 and len(outputs) == 3 * (2 * 3 + 1)
+        assert alive == [0, 0]
 
     @pytest.mark.parametrize("row", [name for name, *_ in ABLATION_ROWS] + ["B+C"])
     def test_metrics_loss_columns_follow_enabled_terms(self, tmp_path, row):
