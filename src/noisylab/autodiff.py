@@ -19,25 +19,28 @@ fresh array. Nothing here zeroes a gradient: the optimizer's step sets each
 ``grad`` to None once it has used the gradients.
 
 The operator catalog is exactly what the small models and losses need:
-``linear``, ``conv2d`` and ``conv_transpose2d`` (each a product, bias add
-and optional relu as one node), matmul, broadcasting add/sub/mul, neg,
-sigmoid, square, a log clamped to probabilities, sum/mean,
-softmax/log-softmax, reshape, transpose and max pooling. The spatial
-operators take channels-last (N, H, W, C) activations and only the shapes
-the models use; any other shape raises ShapeError: a conv2d has stride 1, a
-square k x k kernel and padding below k; a conv_transpose2d upsamples by its
-square kernel (stride k, no padding, no overlap); max pooling is
-non-overlapping. Each direction of a convolution is one matrix product over
-the whole batch (see the spatial operators). Max pooling, when it records
-the graph, keeps each window's first-max slot in one byte, and its backward
-scatters the gradient once. No GPU, no broadcasting beyond bias-style
-shapes. A fused node runs the same numpy operations, in the same order and
-dtype, as the chain of single ops it stands for, so its outputs and
-gradients are bit for bit theirs. An operand that needs no gradient gets
-none computed. The three training losses are fused nodes of this kind,
-one per loss, built in ``losses`` with ``Tensor._result``; the losses
-module docstring gives the order in which ``cluster_loss`` sums the clean
-view's gradient terms.
+matmul, broadcasting add/mul, neg, sigmoid, square, a log clamped to
+probabilities, sum, softmax/log-softmax, reshape, transpose and max
+pooling, plus fused nodes. Subtraction and mean are compositions of these
+ops, not nodes of their own: ``a - b`` is ``a + (-b)`` and a mean is the
+sum times ``1 / n``. The spatial operators take channels-last (N, H, W, C)
+activations and only the shapes the models use; any other shape raises
+ShapeError: a conv2d has stride 1, a square k x k kernel and padding below
+k; a conv_transpose2d upsamples by its square kernel (stride k, no
+padding, no overlap); max pooling is non-overlapping. Each direction of a
+convolution is one matrix product over the whole batch (see the spatial
+operators). Max pooling, when it records the graph, keeps each window's
+first-max slot in one byte, and its backward scatters the gradient once.
+No GPU, no broadcasting beyond bias-style shapes.
+
+A fused node runs the same numpy operations, in the same order and dtype,
+as the chain of single ops it stands for, so its outputs and gradients are
+bit for bit theirs. The fused nodes are ``linear``, ``conv2d`` and
+``conv_transpose2d`` (each a product, bias add and optional relu) and the
+three training losses, one node per loss, built in ``losses`` with
+``Tensor._result``; the losses module docstring gives the order in which
+``cluster_loss`` sums the clean view's gradient terms. An operand that
+needs no gradient gets none computed.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
 (gradient checking needs it).
@@ -236,23 +239,7 @@ class Tensor:
         return Tensor._result(-self.data, (self,), backward, "neg")
 
     def __sub__(self, other):
-        # IEEE subtraction is addition of the negation, bit for bit, so this
-        # node equals self + (-other) with its gradients.
-        other = self._coerce(other)
-        try:
-            data = self.data - other.data
-        except ValueError as exc:
-            raise ShapeError(f"sub: incompatible shapes {self.shape} and {other.shape}") from exc
-
-        def backward(g, a=self, b=other):
-            grads = []
-            if a.requires_grad:
-                grads.append((a, _unbroadcast(g, a.shape)))
-            if b.requires_grad:
-                grads.append((b, -_unbroadcast(g, b.shape)))
-            return grads
-
-        return Tensor._result(data, (self, other), backward, "sub")
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -330,15 +317,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
-        # the sum times its dtype's 1/n: a sum node and a multiply by a
-        # constant, as one node
-        scale = np.asarray(1.0 / n, dtype=self.dtype)
-        data = self.data.sum(axis=axis, keepdims=keepdims) * scale
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            return ((a, _unreduce(g * scale, a, axis, keepdims)),)
-
-        return Tensor._result(data, (self,), backward, "mean")
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- shape -------------------------------------------------------------
     def reshape(self, *shape):
@@ -422,13 +401,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     z += b.data
     mask = None
     if relu:
-        mask = z > 0
-        if _recording:
-            # backward multiplies by the mask again, and numpy casts a bool
-            # mask element by element: a float one gives the same bits (NaN
-            # and the sign of zero included) about twice as fast, (64, 256)
-            # float32 ~3.5 against ~8 us
-            mask = mask.astype(z.dtype)
+        # backward multiplies by the mask again, and numpy casts a bool mask
+        # element by element: a float one gives the same bits (NaN and the
+        # sign of zero included) about twice as fast, (64, 256) float32 ~3.5
+        # against ~8 us, and costs no more to make under no_grad
+        mask = (z > 0).astype(z.dtype)
         z *= mask
 
     def backward(g, x=x, w=w, b=b, mask=mask):

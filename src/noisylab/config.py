@@ -28,6 +28,12 @@ class ConfigError(ValueError):
     """One or more configuration violations; message lists all of them."""
 
 
+def _report(errors):
+    """Raise one ConfigError listing every violation, if there is any."""
+    if errors:
+        raise ConfigError("configuration invalid:\n  " + "\n  ".join(errors))
+
+
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -38,15 +44,10 @@ def _parse_bool(text):
 
 
 def _parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    parts = [p for p in text.split(",") if p.strip()]
-    return [float(p) for p in parts]
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def _parse_str_list(text):
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
@@ -182,10 +183,7 @@ def validate(cfg: dict) -> dict:
             errors.append(f"{key}: invalid value {value!r} (must be finite)")
         elif f.check is not None and not f.check(value):
             errors.append(f"{key}: invalid value {value!r}" + (f" ({f.help})" if f.help else ""))
-    if not errors:
-        errors = _semantic_errors(cfg)
-    if errors:
-        raise ConfigError("configuration invalid:\n  " + "\n  ".join(errors))
+    _report(errors or _semantic_errors(cfg))
     return cfg
 
 
@@ -205,31 +203,31 @@ def parse_entries(entries, base: dict | None = None) -> dict:
             cfg[key] = SCHEMA[key].parse(raw)
         except (ValueError, TypeError) as exc:
             errors.append(f"{key}: cannot parse {raw!r} ({exc})")
-    if errors:
-        raise ConfigError("configuration invalid:\n  " + "\n  ".join(errors))
+    _report(errors)
     return validate(cfg)
 
 
-def _read_lines(text):
-    entries = []
-    errors = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, _, value = stripped.partition("=")
-        entries.append((key.strip(), value.strip()))
-    if errors:
-        raise ConfigError("configuration invalid:\n  " + "\n  ".join(errors))
+def _split(numbered, name: str) -> list:
+    """Stripped (key, value) pairs of numbered ``key = value`` texts, the
+    one splitter of config files and overrides; a text with no '=' is
+    reported as ``name`` and its number."""
+    entries, errors = [], []
+    for number, text in numbered:
+        key, eq, value = text.partition("=")
+        if eq:
+            entries.append((key.strip(), value.strip()))
+        else:
+            errors.append(f"{name} {number}: expected key=value, got {text!r}")
+    _report(errors)
     return entries
 
 
 def loads(text: str, overrides=()) -> dict:
-    entries = _read_lines(text) + list(overrides)
-    return parse_entries(entries)
+    """Parse config text, blank lines and '#' comments skipped, then apply
+    the (key, raw-value) ``overrides`` on top."""
+    lines = enumerate((line.strip() for line in text.splitlines()), 1)
+    entries = _split([(n, t) for n, t in lines if t and not t.startswith("#")], "line")
+    return parse_entries(entries + list(overrides))
 
 
 def load(path, overrides=()) -> dict:
@@ -258,14 +256,4 @@ def config_hash(cfg: dict) -> str:
 
 def parse_overrides(pairs) -> list:
     """Turn CLI ``key=value`` strings into (key, raw-value) entries."""
-    entries = []
-    errors = []
-    for pair in pairs:
-        if "=" not in pair:
-            errors.append(f"override must look like key=value, got {pair!r}")
-            continue
-        key, _, value = pair.partition("=")
-        entries.append((key.strip(), value.strip()))
-    if errors:
-        raise ConfigError("configuration invalid:\n  " + "\n  ".join(errors))
-    return entries
+    return _split(enumerate(pairs, 1), "--override")

@@ -136,6 +136,8 @@ def generate_blobs(
     pattern whose amplitude scales with ``separation``; values end up in
     [0, 1]. ``separation=0`` makes classes indistinguishable.
     """
+    if num_classes < 2:
+        raise DatasetError(f"need at least 2 classes, got {num_classes}")
     if num_samples < num_classes:
         raise DatasetError("need at least one sample per class")
     if separation < 0:
@@ -224,18 +226,12 @@ def empirical_transition_matrix(ds: LabeledDataset):
     classes with no samples (their rows are NaN, never silently zero).
     """
     c = ds.num_classes
-    matrix = np.zeros((c, c))
-    undefined = np.zeros(c, dtype=bool)
-    for i in range(c):
-        members = ds.clean_labels == i
-        total = int(members.sum())
-        if total == 0:
-            matrix[i] = np.nan
-            undefined[i] = True
-            continue
-        counts = np.bincount(ds.noisy_labels[members], minlength=c)
-        matrix[i] = counts / total
-    return matrix, undefined
+    pairs = ds.clean_labels.astype(np.intp) * c + ds.noisy_labels
+    counts = np.bincount(pairs, minlength=c * c).reshape(c, c)
+    totals = counts.sum(axis=1, keepdims=True)
+    # an undefined row is np.nan itself: 0/0 would set the NaN's sign bit
+    matrix = np.divide(counts, totals, out=np.full((c, c), np.nan), where=totals > 0)
+    return matrix, totals[:, 0] == 0
 
 
 # ---------------------------------------------------------------------------

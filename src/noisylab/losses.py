@@ -41,8 +41,8 @@ class LossInputError(ValueError):
     """Malformed loss inputs (unnormalized rows, bad shapes, bad weights)."""
 
 
-def _check_rows_normalized(probs: Tensor, name: str):
-    sums = probs.data.sum(axis=-1)
+def _check_rows_normalized(rows: np.ndarray, name: str):
+    sums = rows.sum(axis=-1)
     if not np.all(np.abs(sums - 1.0) <= PROB_ROW_TOL):  # NaN sums fail too
         worst = float(np.abs(sums - 1.0).max())
         raise LossInputError(f"{name}: rows must sum to 1 (max deviation {worst:.3g})")
@@ -55,7 +55,7 @@ def _unclamped(p):
 
 def task_loss(pred_probs: Tensor, labels_onehot) -> Tensor:
     """Mean cross-entropy of predicted probabilities against one-hot labels."""
-    _check_rows_normalized(pred_probs, "task_loss predictions")
+    _check_rows_normalized(pred_probs.data, "task_loss predictions")
     onehot = labels_onehot.data if isinstance(labels_onehot, Tensor) else np.asarray(labels_onehot)
     if onehot.shape != pred_probs.shape:
         raise LossInputError(
@@ -91,7 +91,7 @@ def reconstruction_loss(x_hat: Tensor, x) -> Tensor:
 
 def conditional_entropy(cluster_probs: Tensor) -> Tensor:
     """Batch mean of per-row entropy; in [0, ln K]."""
-    _check_rows_normalized(cluster_probs, "conditional_entropy")
+    _check_rows_normalized(cluster_probs.data, "conditional_entropy")
     per_row = -(cluster_probs * cluster_probs.clamped_log()).sum(axis=-1)
     return per_row.mean()
 
@@ -102,7 +102,7 @@ def marginal_entropy_term(cluster_probs_batch: Tensor) -> Tensor:
     Nonnegative; zero exactly when the batch marginal is uniform. Minimizing
     it keeps clusters balanced (maximal marginal entropy).
     """
-    _check_rows_normalized(cluster_probs_batch, "marginal_entropy_term")
+    _check_rows_normalized(cluster_probs_batch.data, "marginal_entropy_term")
     k = cluster_probs_batch.shape[-1]
     marginal = cluster_probs_batch.mean(axis=0)
     return (marginal * (marginal.clamped_log() + math.log(k))).sum()
@@ -118,8 +118,8 @@ def consistency_penalty(clean_cluster_probs: Tensor, aug_cluster_probs: Tensor, 
         raise LossInputError(
             f"consistency_penalty: shapes differ, {clean_cluster_probs.shape} vs {aug_cluster_probs.shape}"
         )
-    _check_rows_normalized(clean_cluster_probs, "consistency_penalty target")
-    _check_rows_normalized(aug_cluster_probs, "consistency_penalty prediction")
+    _check_rows_normalized(clean_cluster_probs.data, "consistency_penalty target")
+    _check_rows_normalized(aug_cluster_probs.data, "consistency_penalty prediction")
     target = clean_cluster_probs.detach() if block_target_grad else clean_cluster_probs
     per_row = -(target * aug_cluster_probs.clamped_log()).sum(axis=-1)
     return per_row.mean()
@@ -140,8 +140,8 @@ def cluster_loss(clean_probs: Tensor, aug_probs: Tensor, lam: float, block_targe
         raise LossInputError(
             f"cluster_loss: shapes differ, {clean_probs.shape} vs {aug_probs.shape}"
         )
-    _check_rows_normalized(clean_probs, "cluster_loss clean view")
-    _check_rows_normalized(aug_probs, "cluster_loss augmented view")
+    _check_rows_normalized(clean_probs.data, "cluster_loss clean view")
+    _check_rows_normalized(aug_probs.data, "cluster_loss augmented view")
     c, a = clean_probs.data, aug_probs.data
     # consistency: -(c * log a).sum(-1), averaged over rows
     clip_a = np.clip(a, PROB_EPS, 1.0)
@@ -226,8 +226,7 @@ def bootstrap_loss(log_pred: Tensor, noisy_onehot, alpha: float) -> Tensor:
     lp = log_pred.data
     # a log_softmax result holds exp(lp) already
     rows = np.exp(lp) if log_pred._exp is None else log_pred._exp
-    if not np.all(np.abs(rows.sum(axis=-1) - 1.0) <= PROB_ROW_TOL):
-        raise LossInputError("bootstrap_loss: exp(log_pred) rows must sum to 1")
+    _check_rows_normalized(rows, "bootstrap_loss exp(log_pred)")
     if alpha != 0.0:
         noisy_ce, noisy_grad = _cross_entropy(Tensor(onehot).data, lp)
     if alpha != 1.0:

@@ -247,9 +247,15 @@ def build_dataset(cfg: dict) -> LabeledDataset:
 
 
 def split_indices(cfg: dict, n: int):
+    """(train, validation) indices of ``n`` samples: a seeded permutation's
+    first ``max(1, round(data.val_fraction * n))`` go to validation. A split
+    that leaves no training sample raises ConfigError."""
+    n_val = max(1, int(round(cfg["data.val_fraction"] * n)))
+    if n_val >= n:
+        raise config_mod.ConfigError(f"data.val_fraction = {cfg['data.val_fraction']!r} leaves no training "
+                                     f"sample of data.samples = {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seeds.data"], 17))))
     order = rng.permutation(n)
-    n_val = max(1, int(round(cfg["data.val_fraction"] * n)))
     return order[n_val:], order[:n_val]
 
 
@@ -342,8 +348,8 @@ LOSS_COLUMNS = [c for c in METRICS_COLUMNS if c.startswith("loss_")]
 def _train_pass(exp: Experiment, epoch: int, lr: float, alpha: float) -> dict:
     """Train on the epoch's shuffled batches; returns each loss column's
     mean over the samples. Backward frees each batch's graph, so one batch
-    graph is alive at a time (the first desk-conv epoch peaks 6 MB over its
-    start, not 11); the epoch's arrays are freed when it returns, before eval."""
+    graph is alive at a time; the epoch's arrays are freed when it returns,
+    before eval."""
     cfg = exp.cfg
     ds = exp.dataset
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seeds.data"], 23, epoch))))

@@ -602,12 +602,25 @@ def _oracle_linear(x, w, b, relu=False):
 
 
 def _oracle_mean(t, axis=None, keepdims=False):
+    """The fused mean node that Tensor.mean's sum-then-scale replaced."""
     n = t.data.size if axis is None else t.data.shape[axis]
-    return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    scale = np.asarray(1.0 / n, dtype=t.dtype)
+    return Tensor._result(t.data.sum(axis=axis, keepdims=keepdims) * scale, (t,),
+                          lambda g, a=t: ((a, autodiff._unreduce(g * scale, a, axis, keepdims)),),
+                          "mean")
 
 
 def _oracle_sub(a, b):
-    return a + (-b)
+    """The fused sub node that Tensor.__sub__'s a + (-b) replaced."""
+    def backward(g):
+        grads = []
+        if a.requires_grad:
+            grads.append((a, autodiff._unbroadcast(g, a.shape)))
+        if b.requires_grad:
+            grads.append((b, -autodiff._unbroadcast(g, b.shape)))
+        return grads
+
+    return Tensor._result(a.data - b.data, (a, b), backward, "sub")
 
 
 def _oracle_clamped_log(t):
@@ -655,6 +668,12 @@ class TestFusedNodesMatchOracle:
         _assert_same_bytes(lambda x, w, b: linear(x, w, b, relu=relu),
                            lambda x, w, b: _oracle_linear(x, w, b, relu=relu),
                            arrays, (x_grad, True, True))
+        # eval passes run the same node without recording it
+        recorded = linear(*[Tensor(a, requires_grad=True) for a in arrays], relu=relu)
+        with no_grad():
+            unrecorded = linear(*[Tensor(a) for a in arrays], relu=relu)
+        assert unrecorded._backward is None
+        assert unrecorded.data.tobytes() == recorded.data.tobytes()
 
     # the backbone's middle conv and the decoder's second upsampling, each
     # against the same op without relu followed by relu as a node of its own
@@ -681,6 +700,8 @@ class TestFusedNodesMatchOracle:
                            lambda x, w, b: _oracle_relu(op(x, w, b)),
                            arrays, (True, True, True))
 
+    # mean and sub are compositions now; each must give the bytes of the
+    # single node it replaced
     @pytest.mark.parametrize("shape", [(64, 4), (64, 12, 12)])
     @pytest.mark.parametrize("axis", [None, 0, -1])
     @pytest.mark.parametrize("keepdims", [False, True])

@@ -324,6 +324,26 @@ def test_train_rejects_input_before_writing(tmp_path, capsys, overrides):
     assert not run.exists()
 
 
+def test_train_rejects_split_without_training_sample(tmp_path, capsys):
+    # passed validation, wrote the run's files and then divided by zero
+    # training samples
+    run = tmp_path / "run"
+    code = main(["train", "--out-dir", str(run), "--override", "data.samples=4", "--override", "data.classes=2",
+                 "--override", "data.val_fraction=0.9", "--override", "train.epochs=1"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.val_fraction" in err and "data.samples" in err
+    assert list(run.iterdir()) == []
+
+
+def test_generate_rejects_one_class(tmp_path, capsys):
+    # wrote a dataset that every reader rejects
+    code = main(["generate", "--samples", "8", "--classes", "1", "--out", str(tmp_path / "one.bin")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--out", "ds.bin", "--seed", "-1"],
     ["corrupt", "--input", "ds.bin", "--kind", "symmetric", "--eps", "0.5", "--out", "o.bin", "--seed", "-1"],

@@ -83,6 +83,11 @@ class TestGenerateBlobs:
         with pytest.raises(DatasetError):
             generate_blobs(3, 4, 2, 1.0, seed=0)
 
+    def test_one_class_rejected(self):
+        # no reader accepts a dataset of fewer than 2 classes
+        with pytest.raises(DatasetError, match="at least 2 classes"):
+            generate_blobs(8, 1, 2, 1.0, seed=0)
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(DatasetError):
             generate_blobs(10, 2, 0, 1.0, seed=0)
@@ -178,6 +183,35 @@ class TestTransitionMatrix:
         assert undefined.tolist() == [False, True, True]
         assert np.isnan(matrix[1]).all() and np.isnan(matrix[2]).all()
         np.testing.assert_allclose(matrix[0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 300])
+    def test_matches_per_class_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            c = int(rng.integers(2, 9))
+            # some classes have no clean sample, so their rows are undefined
+            present = rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
+            clean = rng.choice(present, size=n).astype(np.int32)
+            noisy = rng.integers(0, c, size=n).astype(np.int32)
+            ds = LabeledDataset(np.zeros((n, 2), np.float32), clean, noisy, clean != noisy, c)
+            for got, want in zip(empirical_transition_matrix(ds), _loop_transition_matrix(ds)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _loop_transition_matrix(ds):
+    """empirical_transition_matrix as a loop over the clean classes."""
+    c = ds.num_classes
+    matrix = np.zeros((c, c))
+    undefined = np.zeros(c, dtype=bool)
+    for i in range(c):
+        members = ds.clean_labels == i
+        total = int(members.sum())
+        if total == 0:
+            matrix[i] = np.nan
+            undefined[i] = True
+            continue
+        matrix[i] = np.bincount(ds.noisy_labels[members], minlength=c) / total
+    return matrix, undefined
 
 
 class TestPersistence:

@@ -456,6 +456,12 @@ class TestWiring:
         assert len(train_idx) + len(val_idx) == 64
         assert len(val_idx) == 16  # val_fraction 0.25
 
+    def test_split_without_training_sample_rejected(self):
+        cfg = tiny_config(**{"data.val_fraction": 0.9})
+        assert [len(part) for part in split_indices(cfg, 6)] == [1, 5]
+        with pytest.raises(config_mod.ConfigError, match="data.val_fraction.*data.samples"):
+            split_indices(cfg, 4)
+
     def test_experiment_cluster_default(self):
         exp = build_experiment(tiny_config())
         assert exp.models.cluster_head.num_outputs == 4  # model.clusters=0 -> class count
