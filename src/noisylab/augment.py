@@ -129,7 +129,7 @@ def _draw_pipelines(policy: AugmentPolicy, words: np.ndarray):
     pool = np.array([ALL_OPS.index(kind) for kind in policy.op_pool])
     fixed = np.array([m, m * MAX_NOISE_SIGMA, 0.0, 0.0, m * MAX_TRANSLATE_FRAC, m])
     pool_size = np.full(len(rows), len(pool), dtype=np.uint64)
-    rng = _PCG64Rows.seeded(words, width=3 * policy.num_ops)
+    rng = _PCG64Rows.seeded(words)
     kinds = np.empty((policy.num_ops, len(rows)), dtype=np.intp)
     seeds = np.empty(kinds.shape, dtype=np.int64)
     scalars = np.empty(kinds.shape, dtype=np.float64)
@@ -370,25 +370,9 @@ def augment_batch(policy: AugmentPolicy, batch: np.ndarray, global_seed: int, ep
 # XSL-RR of each new state. 128-bit values are held as high and low uint64
 # words; products take their high word from 32-bit halves.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_MULT_HI, _MULT_LO = (np.array(v, dtype=np.uint64) for v in (_PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1))
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.array(v, dtype=np.uint64) for v in (1, 11, 32, 58, 63, 64))
 _LOW32, _TWO32 = np.array(_MASK32, dtype=np.uint64), np.array(1 << 32, dtype=np.uint64)
-
-
-def _jump_table(count):
-    """The k-step jumps ``state_k = a * state + c * inc`` for k = 0 ..
-    count - 1, ``a = _PCG_MULT**k`` and ``c = 1 + _PCG_MULT + ... +
-    _PCG_MULT**(k-1)``, as words ``[hi, lo][a, c][k]``."""
-    a, c, table = 1, 0, []
-    for _ in range(count):
-        table.append([[a >> 64, c >> 64], [a & _MASK64, c & _MASK64]])
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return np.array(table, dtype=np.uint64).transpose(1, 2, 0).copy()
-
-
-# enough for every draw of a pipeline of up to 20 ops without a rejection
-_JUMPS = _jump_table(64)
-_JUMPS.setflags(write=False)
 
 
 def _mulhi(a, b):
@@ -399,63 +383,45 @@ def _mulhi(a, b):
     return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
 
 
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * _PCG_MULT + inc`` mod 2**128, as ``(hi, lo)`` words."""
+    prod_lo = lo * _MULT_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < prod_lo)
+    return new_hi, new_lo
+
+
 class _PCG64Rows:
     """One numpy PCG64 per row, with the ``Generator`` draws augmentation
-    uses, all rows at once.
+    uses, all rows at once. Each row holds numpy's 128-bit state and
+    increment as ``(hi, lo)`` uint64 words, copied from the arguments. Each
+    draw takes the rows it applies to as an index array and steps only
+    those, once per 64-bit output; the other rows keep their place."""
 
-    Row ``r``'s ``j``-th 64-bit output (``j = 1, 2, ...``) is the XSL-RR of
-    the state ``lag + j`` steps after ``state[r]``. Outputs are computed a
-    block at a time by jumping ahead, so one pass of 128-bit products serves
-    every draw in the block; a row that needs more (after a rejection)
-    extends the block for all rows. Each draw takes the rows it applies to
-    as an index array, and the other rows keep their place.
-    """
-
-    def __init__(self, state, inc, lag=0, width=1):
-        # [hi, lo][state, inc] words, each (1, rows)
-        self.words = np.array([[state[0], inc[0]], [state[1], inc[1]]], dtype=np.uint64)[:, :, None]
-        self.lag = lag
-        rows = self.words.shape[-1]
-        self.raw = np.empty((0, rows), dtype=np.uint64)  # (outputs, rows)
-        self.used = np.zeros(rows, dtype=np.intp)
+    def __init__(self, state, inc):
+        self.hi, self.lo = (np.array(w, dtype=np.uint64) for w in state)
+        self.inc_hi, self.inc_lo = (np.array(w, dtype=np.uint64) for w in inc)
         # the buffered high half of a 64-bit output (numpy's has_uint32)
-        self.has32 = np.zeros(rows, dtype=bool)
-        self.buf32 = np.zeros(rows, dtype=np.uint64)
-        self._extend(width)
+        self.has32 = np.zeros(len(self.lo), dtype=bool)
+        self.buf32 = np.zeros(len(self.lo), dtype=np.uint64)
 
     @classmethod
-    def seeded(cls, words, width=1):
+    def seeded(cls, words):
         """The streams of ``PCG64(_Words(w))`` for each row ``w`` of
         ``(rows, 4)`` seed words, as numpy's ``pcg64_set_seed`` builds them
         from ``s = w[0:2]`` and ``i = w[2:4]`` (high word first):
-        ``inc = 2 * i + 1``, and the state one step after ``inc + s``."""
+        ``inc = 2 * i + 1``, and numpy's state, one step after ``inc + s``."""
         s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
         inc = (i_hi << _U1) | (i_lo >> _U63), (i_lo << _U1) | _U1
         lo = inc[1] + s_lo
-        return cls((inc[0] + s_hi + (lo < s_lo), lo), inc, lag=1, width=width)
-
-    def _extend(self, count):
-        """Compute ``count`` more outputs of every row."""
-        first = self.lag + len(self.raw) + 1
-        table = _JUMPS if first + count <= _JUMPS.shape[2] else _jump_table(first + count)
-        j_hi, j_lo = table[:, :, first : first + count, None]
-        w_hi, w_lo = self.words
-        # state_k = a * state + c * inc, mod 2**128: both products at once
-        prod_lo = j_lo * w_lo
-        prod_hi = _mulhi(j_lo, w_lo) + j_hi * w_lo + j_lo * w_hi
-        lo = prod_lo[0] + prod_lo[1]
-        hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
-        xored, rot = hi ^ lo, hi >> _U58
-        self.raw = np.concatenate([self.raw, (xored >> rot) | (xored << ((_U64 - rot) & _U63))])
+        return cls(_lcg_step(inc[0] + s_hi + (lo < s_lo), lo, *inc), inc)
 
     def next64(self, rows):
         """The next 64-bit output of each row in ``rows``."""
-        used = self.used[rows]
-        short = used.max(initial=-1) + 1 - len(self.raw)
-        if short > 0:
-            self._extend(short)
-        self.used[rows] = used + 1
-        return self.raw[used, rows]
+        hi, lo = _lcg_step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        xored, rot = hi ^ lo, hi >> _U58
+        return (xored >> rot) | (xored << ((_U64 - rot) & _U63))
 
     def next32(self, rows):
         """numpy's ``next_uint32``: the buffered high half of an output

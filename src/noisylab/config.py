@@ -209,15 +209,18 @@ def parse_entries(entries, base: dict | None = None) -> dict:
 
 def _split(numbered, name: str) -> list:
     """Stripped (key, value) pairs of numbered ``key = value`` texts, the
-    one splitter of config files and overrides; a text with no '=' is
-    reported as ``name`` and its number."""
-    entries, errors = [], []
+    one splitter of config files and overrides; a text with no '=', or a
+    key that an earlier text set, is reported as ``name`` and its number."""
+    entries, errors, first = [], [], {}
     for number, text in numbered:
-        key, eq, value = text.partition("=")
-        if eq:
-            entries.append((key.strip(), value.strip()))
-        else:
+        key, eq, value = (part.strip() for part in text.partition("="))
+        if not eq:
             errors.append(f"{name} {number}: expected key=value, got {text!r}")
+        elif key in first:
+            errors.append(f"{name} {number}: {key} is already set by {name} {first[key]}")
+        else:
+            first[key] = number
+            entries.append((key, value))
     _report(errors)
     return entries
 

@@ -309,6 +309,8 @@ def read_arrays(path):
         if (not isinstance(name, str) or dtype not in _DTYPES
                 or any(type(d) is not int or d < 0 for d in shape)):
             raise CorruptHeaderError(f"{path}: invalid layout for array {name!r}")
+        if name in arrays:
+            raise CorruptHeaderError(f"{path}: array {name!r} is named twice")
         count = math.prod(shape)
         end = offset + count * np.dtype(dtype).itemsize
         if end > len(blob):

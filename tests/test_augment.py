@@ -97,8 +97,8 @@ class TestSeedStates:
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
         for seed in _VALUES:
             assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
-        # a pipeline long enough to draw past the precomputed PCG64 jumps:
-        # each op takes half a kind draw, its seed and its scalar
+        # a long pipeline, 30 ops of up to three draws each (half a kind
+        # draw, the seed, the scalar), so each row steps its PCG64 ~75 times
         long_policy = AugmentPolicy(op_pool=("brightness-shift", "contrast-scale"), num_ops=30, magnitude=0.7)
         for seed in (0, 7, 2**64 - 1):
             assert sample_pipeline(long_policy, seed) == _oracle_sample_pipeline(long_policy, seed)
@@ -500,40 +500,56 @@ _EDGE_WORDS = [[0, 0, 0, 0], [_MASK64] * 4, [0, _MASK64, 0, _MASK64], [_MASK64, 
                [1, 2**63, 2**63 - 1, 1]]
 
 
+def _row_states(rng):
+    """Each row's (state, inc, has_uint32, uinteger), as numpy's
+    ``PCG64.state`` holds them."""
+    words = (w.tolist() for w in (rng.hi, rng.lo, rng.inc_hi, rng.inc_lo, rng.has32, rng.buf32))
+    return [(hi << 64 | lo, inc_hi << 64 | inc_lo, int(has32), buf32)
+            for hi, lo, inc_hi, inc_lo, has32, buf32 in zip(*words)]
+
+
+def _numpy_states(bit_gens):
+    return [(s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
+            for s in (g.state for g in bit_gens)]
+
+
+def _stepped(state, inc, steps):
+    for _ in range(steps):
+        state = (state * _PCG_MULT + inc) % 2**128
+    return state
+
+
 class TestPCG64Parity:
-    """The batched PCG64 must draw what numpy's Generator draws, bit for bit."""
+    """The batched PCG64 must draw what numpy's Generator draws, bit for
+    bit, and hold each row's full PCG64 state after every draw."""
 
     def test_seeding_matches_pcg64_state(self):
         words = np.array(_EDGE_WORDS + np.random.default_rng(0).integers(0, 2**64, (8, 4), dtype=np.uint64,
                                                                          endpoint=False).tolist(),
                          dtype=np.uint64)
         rng = _PCG64Rows.seeded(words)
-        (s_hi, i_hi), (s_lo, i_lo) = (w[:, 0].tolist() for w in rng.words)
-        for r, w in enumerate(words):
-            want = np.random.PCG64(_Words(w)).state
-            inc = i_hi[r] << 64 | i_lo[r]
-            # the batched streams keep the state one step before numpy's
-            state = ((s_hi[r] << 64 | s_lo[r]) * _PCG_MULT + inc) % 2**128
-            assert (state, inc) == (want["state"]["state"], want["state"]["inc"])
-            assert (want["has_uint32"], want["uinteger"]) == (0, 0)
-        raw = np.stack([rng.next64(np.arange(len(words))) for _ in range(5)], axis=1)
-        expect = [np.random.PCG64(_Words(w)).random_raw(5).tolist() for w in words]
-        assert raw.tolist() == expect
+        bit_gens = [np.random.PCG64(_Words(w)) for w in words]
+        assert _row_states(rng) == _numpy_states(bit_gens)
+        for _ in range(5):
+            assert rng.next64(np.arange(len(words))).tolist() == [int(g.random_raw()) for g in bit_gens]
+            assert _row_states(rng) == _numpy_states(bit_gens)
 
     def test_mixed_draws_match_generator(self):
         # bounds with a high rejection rate (3 * 2**30, 2**32 - 1) and
-        # n == 1, which draws nothing; some draws skip the odd rows
+        # n == 1, which draws nothing; some draws skip the odd rows, and
+        # some take no row at all
         program = [(6, "all"), (2**63 - 1, "all"), ("random", "even"), (7, "all"), ("uniform", "odd"),
-                   (3 * 2**30, "all"), (1, "all"), (2**32 - 1, "even"), (2**63 - 1, "odd"),
-                   (3 * 2**30 + 1, "all"), (5, "all"), (2, "odd"), (2**63 - 1, "all"), ("random", "all")]
+                   (3 * 2**30, "all"), (1, "all"), (7, "none"), (2**32 - 1, "even"), (2**63 - 1, "odd"),
+                   ("random", "none"), (3 * 2**30 + 1, "all"), (5, "all"), (2**63 - 1, "none"), (2, "odd"),
+                   (2**63 - 1, "all"), ("random", "all")]
         words = np.random.default_rng(5).integers(0, 2**64, (40, 4), dtype=np.uint64, endpoint=False)
         words[: len(_EDGE_WORDS)] = _EDGE_WORDS
         rows = np.arange(len(words))
-        rng = _PCG64Rows.seeded(words, width=2)
-        gens = [np.random.PCG64(_Words(w)) for w in words]
-        gens = [np.random.Generator(g) for g in gens]
+        rng = _PCG64Rows.seeded(words)
+        gens = [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
+        bit_gens = [g.bit_generator for g in gens]
         for n, which in program:
-            sub = rows if which == "all" else rows[rows % 2 == (which == "odd")]
+            sub = {"all": rows, "even": rows[rows % 2 == 0], "odd": rows[rows % 2 == 1], "none": rows[:0]}[which]
             if n == "random":
                 got, want = rng.random(sub), [gens[r].random() for r in sub]
             elif n == "uniform":
@@ -544,7 +560,9 @@ class TestPCG64Parity:
             else:
                 got, want = rng.integers64(sub, n), [int(gens[r].integers(0, n)) for r in sub]
             assert got.tolist() == want, (n, which)
-        assert rng.next64(rows).tolist() == [g.bit_generator.random_raw() for g in gens]
+            assert _row_states(rng) == _numpy_states(bit_gens), (n, which)
+        assert rng.next64(rows).tolist() == [g.random_raw() for g in bit_gens]
+        assert _row_states(rng) == _numpy_states(bit_gens)
 
     def test_forced_rejection_32_bit(self):
         # 2**32 % 7 == 4: a 32-bit draw of 0 is rejected. Row 0's first
@@ -554,14 +572,19 @@ class TestPCG64Parity:
         states = [_state_before(out, inc, high) for out, high in zip(outputs, (7 << 58 | 5, 3, 63 << 58))]
         rng = _rows_from_state(states, [inc] * 3)
         gens = [_generator_at(s, inc) for s in states]
+        bit_gens = [g.bit_generator for g in gens]
+        assert _row_states(rng) == _numpy_states(bit_gens)
         rows = np.arange(3)
         for _ in range(3):
             got = rng.integers32(rows, np.full(3, 7, dtype=np.uint64))
             assert got.tolist() == [int(g.integers(0, 7)) for g in gens]
-        # rows 0 and 1 redrew once: four 32-bit halves used against three
-        assert rng.used.tolist() == [2, 2, 2]
+            assert _row_states(rng) == _numpy_states(bit_gens)
+        # rows 0 and 1 redrew once: four 32-bit halves, two outputs, against
+        # row 2's three halves, whose last output's high half is buffered
+        assert [state for state, *_ in _row_states(rng)] == [_stepped(s, inc, 2) for s in states]
         assert rng.has32.tolist() == [False, False, True]
         assert rng.random(rows).tolist() == [g.random() for g in gens]
+        assert _row_states(rng) == _numpy_states(bit_gens)
 
     def test_forced_rejection_64_bit(self):
         # (2**64 - n) % n == 2 for n = 2**63 - 1: an output of 0 is rejected
@@ -569,10 +592,14 @@ class TestPCG64Parity:
         states = [_state_before(0, inc, 0xABCDEF), _state_before(2**64 - 5, inc, 17 << 58)]
         rng = _rows_from_state(states, [inc] * 2)
         gens = [_generator_at(s, inc) for s in states]
+        bit_gens = [g.bit_generator for g in gens]
         rows = np.arange(2)
         assert rng.integers64(rows, 2**63 - 1).tolist() == [int(g.integers(0, 2**63 - 1)) for g in gens]
-        assert rng.used.tolist() == [2, 1]
+        assert _row_states(rng) == _numpy_states(bit_gens)
+        # row 0 redrew once: two steps against row 1's one
+        assert [state for state, *_ in _row_states(rng)] == [_stepped(states[0], inc, 2), _stepped(states[1], inc, 1)]
         assert rng.random(rows).tolist() == [g.random() for g in gens]
+        assert _row_states(rng) == _numpy_states(bit_gens)
         # a state whose next output is 0 gives random() == 0.0 as numpy does
         again = _rows_from_state(states[:1], [inc])
         assert again.random(np.arange(1)).tolist() == [_generator_at(states[0], inc).random()] == [0.0]

@@ -26,6 +26,14 @@ TINY = [
 ]
 
 
+def _tiny(*pairs):
+    """TINY with ``key=value`` overrides that replace its own for the same
+    key, since an override may set each key once."""
+    keys = {pair.split("=")[0] for pair in pairs}
+    kept = [pair for pair in TINY[1::2] if pair.split("=")[0] not in keys]
+    return [arg for pair in kept + list(pairs) for arg in ("--override", pair)]
+
+
 def test_generate_writes_dataset(tmp_path, capsys):
     out = tmp_path / "ds.bin"
     code = main(["generate", "--samples", "50", "--classes", "3",
@@ -170,8 +178,7 @@ def _run_files(run):
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_fresh_run_into_existing_run_refused(tmp_path, capsys, command):
     out = tmp_path / "out"
-    epochs = ["--override", "train.epochs=1"]
-    assert main([command, "--out-dir", str(out)] + TINY + epochs) == EXIT_OK
+    assert main([command, "--out-dir", str(out)] + _tiny("train.epochs=1")) == EXIT_OK
     before = _run_files(out)
     capsys.readouterr()
     # a second fresh run with another schedule must not replace the first
@@ -318,7 +325,7 @@ def test_train_rejects_bad_config(tmp_path, capsys):
 def test_train_rejects_input_before_writing(tmp_path, capsys, overrides):
     # each passed validation once and then crashed in the run
     run = tmp_path / "run"
-    code = main(["train", "--out-dir", str(run)] + TINY + [arg for o in overrides for arg in ("--override", o)])
+    code = main(["train", "--out-dir", str(run)] + _tiny(*overrides))
     assert code == EXIT_VALIDATION
     assert overrides[0].split("=")[0] in capsys.readouterr().err
     assert not run.exists()
@@ -334,6 +341,16 @@ def test_train_rejects_split_without_training_sample(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "data.val_fraction" in err and "data.samples" in err
     assert list(run.iterdir()) == []
+
+
+def test_train_rejects_override_set_twice(tmp_path, capsys):
+    # the last of the two used to win silently
+    run = tmp_path / "run"
+    code = main(["train", "--out-dir", str(run)] + TINY + ["--override", "train.epochs=1"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--override 8: train.epochs is already set by --override 6" in err
+    assert not run.exists()
 
 
 def test_generate_rejects_one_class(tmp_path, capsys):
@@ -387,8 +404,7 @@ def test_seed_flag_sets_all_seeds(tmp_path):
 
 def test_ablate_runs_grid(tmp_path, capsys):
     grid = tmp_path / "grid"
-    code = main(["ablate", "--out-dir", str(grid)] + TINY
-                + ["--override", "train.epochs=1"])
+    code = main(["ablate", "--out-dir", str(grid)] + _tiny("train.epochs=1"))
     assert code == EXIT_OK
     assert (grid / "ablation.csv").exists()
     out = capsys.readouterr().out

@@ -187,6 +187,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key=value"):
             parse_overrides(["train.epochs"])
 
+    def test_key_set_twice_in_one_source_rejected(self):
+        # the last value used to win silently
+        with pytest.raises(ConfigError, match=r"line 3: losses\.B is already set by line 1"):
+            loads("losses.B = true\n# a comment\nlosses.B = false\n")
+        with pytest.raises(ConfigError, match=r"--override 3: train\.epochs is already set by --override 1"):
+            parse_overrides(["train.epochs=3", "noise.epsilon=0.1", " train.epochs = 4"])
+
+    def test_override_replaces_file_key(self):
+        cfg = loads("losses.B = true\ntrain.epochs = 5\n", parse_overrides(["losses.B=false"]))
+        assert cfg["losses.B"] is False and cfg["train.epochs"] == 5
+
 
 class TestRoundtripAndHash:
     def test_dump_load_roundtrip(self, tmp_path):

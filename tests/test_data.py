@@ -370,6 +370,14 @@ class TestArrayContainer:
         with pytest.raises(CorruptHeaderError):
             read_arrays(path)
 
+    def test_array_named_twice_rejected(self, tmp_path):
+        # only the second "x" used to be returned
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_container({"meta": {}, "arrays": [["x", "<f4", [1]], ["y", "<f4", [1]],
+                                                            ["x", "<i8", [1]]]}, bytes(16)))
+        with pytest.raises(CorruptHeaderError, match="array 'x' is named twice"):
+            read_arrays(path)
+
     @pytest.mark.parametrize("payload", [bytes(7), bytes(9), b""])
     def test_payload_must_end_at_end_of_file(self, tmp_path, payload):
         path = tmp_path / "bad.bin"
