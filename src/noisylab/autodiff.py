@@ -11,12 +11,9 @@ freed during the walk, and a second backward through a used graph raises
 RuntimeError. A training step thus holds one batch graph at a time. Inside
 ``no_grad()`` no graph is recorded, for passes whose results are only read.
 
-A leaf's gradient is its ``grad``. A leaf with a ``grad_buffer`` (a
-training optimizer gives every model parameter a view of its flat gradient
-buffer) gets its gradient copied into that array, which becomes its
-``grad``; a second backward adds to it in place. Without one, ``grad`` is a
-fresh array. Nothing here zeroes a gradient: the optimizer's step sets each
-``grad`` to None once it has used the gradients.
+A leaf's gradient is its ``grad``: the first backward that reaches it sets
+it, and a later one adds to it. Nothing here zeroes a gradient: the
+optimizer's step sets each ``grad`` to None once it has used it.
 
 The operator catalog is exactly what the small models and losses need:
 matmul, broadcasting add/mul, neg, sigmoid, square, a log clamped to
@@ -95,14 +92,12 @@ def _spent(g):
 class Tensor:
     """A numpy array with an optional gradient and graph provenance."""
 
-    __slots__ = ("data", "requires_grad", "grad", "grad_buffer", "_exp", "_parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_exp", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = requires_grad
         self.grad = None
-        # a leaf's home for its gradient (see backward), or None
-        self.grad_buffer = None
         # exp(data), when the op that made this tensor computed it
         self._exp = None
         self._parents = ()
@@ -116,7 +111,7 @@ class Tensor:
         # numpy scalars from full reductions and arithmetic on 0-d arrays.
         out = object.__new__(Tensor)
         out.data = data if type(data) is np.ndarray else np.asarray(data)
-        out.grad = out.grad_buffer = out._exp = None
+        out.grad = out._exp = None
         out.op = op
         if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -183,7 +178,7 @@ class Tensor:
             g = grads.pop(id(node), None)
             if node._backward is None:
                 if g is not None:
-                    node._accumulate(g)
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             pairs = () if g is None else node._backward(g)
             node._parents, node._backward = (), _spent
@@ -191,21 +186,6 @@ class Tensor:
                 if parent.requires_grad:
                     key = id(parent)
                     grads[key] = grads[key] + pg if key in grads else pg
-
-    def _accumulate(self, g):
-        """Add a leaf's gradient from one backward to ``grad``: into its
-        ``grad_buffer`` when ``grad`` is None or is that buffer (in place,
-        the bits of ``grad + g``), else as a new array."""
-        buf = self.grad_buffer
-        if self.grad is None and buf is not None:
-            np.copyto(buf, g)
-            self.grad = buf
-        elif self.grad is None:
-            self.grad = g
-        elif self.grad is buf:
-            buf += g
-        else:
-            self.grad = self.grad + g
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):

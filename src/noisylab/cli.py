@@ -92,8 +92,11 @@ def cmd_corrupt(args) -> int:
 def _load_config(args):
     overrides = config_mod.parse_overrides(args.override or [])
     if args.seed is not None:
-        overrides += [(f"seeds.{name}", str(args.seed + i))
-                      for i, name in enumerate(("init", "data", "augment"))]
+        seeds = {f"seeds.{name}": str(args.seed + i) for i, name in enumerate(("init", "data", "augment"))}
+        for number, (key, _) in enumerate(overrides, 1):
+            if key in seeds:
+                raise ConfigError(f"--override {number}: {key} is also set by --seed")
+        overrides += seeds.items()
     if args.config:
         return config_mod.load(args.config, overrides)
     return config_mod.parse_entries(overrides)

@@ -140,8 +140,8 @@ def generate_blobs(
         raise DatasetError(f"need at least 2 classes, got {num_classes}")
     if num_samples < num_classes:
         raise DatasetError("need at least one sample per class")
-    if separation < 0:
-        raise DatasetError("separation must be >= 0")
+    if not 0 <= separation < np.inf:
+        raise DatasetError(f"separation must be finite and >= 0, got {separation}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     labels = rng.integers(0, num_classes, size=num_samples).astype(np.int32)

@@ -78,14 +78,9 @@ class SgdOptimizer:
     ``velocities[name]`` is the matching view into one velocity buffer, so a
     step is a few array operations over all parameters.
 
-    Gradients live in a third buffer of the same layout: the optimizer makes
-    each parameter's view of it that parameter's ``grad_buffer``, so
-    ``Tensor.backward`` writes the gradient there and ``grad`` is that view.
-    ``step`` reads the buffer where it stands; a ``grad`` of None counts as
-    zero, and a ``grad`` set to any other array is copied in. The step then
-    uses the buffer as scratch space and sets every ``grad`` to None: the
-    step clears the gradients, no ``grad`` shows its scratch values, and
-    the next backward writes each view afresh.
+    ``step`` copies each ``grad`` into its view of a third buffer of the
+    same layout, a ``grad`` of None as zero, uses that buffer as scratch
+    space and sets every ``grad`` to None.
     """
 
     def __init__(self, params: dict, flat: np.ndarray, momentum: float, weight_decay: float):
@@ -101,15 +96,14 @@ class SgdOptimizer:
         for name, p in params.items():
             shape, hi = p.data.shape, lo + p.data.size
             self.velocities[name] = self._velocity[lo:hi].reshape(shape)
-            self._grads[name] = p.grad_buffer = self._grad[lo:hi].reshape(shape)
+            self._grads[name] = self._grad[lo:hi].reshape(shape)
             lo = hi
 
     def step(self, lr: float):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
         for p, view in zip(self.params.values(), self._grads.values()):
-            if p.grad is not view:
-                view[...] = 0 if p.grad is None else p.grad
+            view[...] = 0 if p.grad is None else p.grad
         g = self._grad
         # min propagates NaN, warns about nothing and needs no bool array
         if np.isnan(g.min()):

@@ -181,7 +181,6 @@ class TestBackward:
         x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
         w = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(2).astype(np.float32), requires_grad=True)
-        b.grad_buffer = np.empty(2, np.float32)
         h = linear(x, w, b, relu=True)
         loss = h.sigmoid().sum()
         loss.backward()

@@ -9,7 +9,7 @@ import pytest
 
 from noisylab import config as config_mod
 from noisylab import data as data_mod
-from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
+from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _load_config, build_parser, main
 from noisylab.data import load_dataset
 from noisylab.export import compute_embeddings, export_embeddings_csv, export_gallery, load_run_models
 from noisylab.training import load_checkpoint, run_experiment, save_checkpoint
@@ -359,6 +359,34 @@ def test_generate_rejects_one_class(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--separation", "nan"], ["--dims", "3", "--separation", "inf"]],
+                         ids=["nan", "inf"])
+def test_generate_rejects_non_finite_separation(tmp_path, capsys, argv):
+    # wrote features that were all or partly not finite
+    code = main(["generate", "--samples", "16", "--classes", "2", "--out", str(tmp_path / "x.bin")] + argv)
+    assert code == EXIT_VALIDATION
+    assert "separation must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["seeds.init", "seeds.data", "seeds.augment"])
+def test_seed_flag_rejects_seed_override(tmp_path, capsys, key):
+    # --seed used to replace the override's value silently
+    run = tmp_path / "run"
+    code = main(["train", "--out-dir", str(run), "--seed", "7"] + _tiny(f"{key}=5"))
+    assert code == EXIT_VALIDATION
+    assert f"--override 8: {key} is also set by --seed" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_seed_flag_replaces_config_file_seeds(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("seeds.init = 5\nseeds.augment = 3\n")
+    args = build_parser().parse_args(["train", "--out-dir", "run", "--config", str(path), "--seed", "7"])
+    cfg = _load_config(args)
+    assert (cfg["seeds.init"], cfg["seeds.data"], cfg["seeds.augment"]) == (7, 8, 9)
 
 
 @pytest.mark.parametrize("argv", [

@@ -79,6 +79,12 @@ class TestGenerateBlobs:
         with pytest.raises(DatasetError):
             generate_blobs(10, 2, 2, -1.0, seed=0)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        # nan passed the check and gave all-NaN features, inf gave NaN and inf
+        with pytest.raises(DatasetError, match="finite"):
+            generate_blobs(10, 2, 3, separation, seed=0)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(DatasetError):
             generate_blobs(3, 4, 2, 1.0, seed=0)

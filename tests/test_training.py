@@ -123,11 +123,10 @@ class TestOptimizer:
             assert np.all(p.data == 1.0) and np.all(opt.velocities[name] == 0.0)
 
 
-def _small_models(register):
-    """A small MLP model set, and its optimizer when ``register``: then
-    every parameter's gradient lands in the optimizer's buffer."""
+def _small_models():
+    """A small MLP model set and its optimizer."""
     ms = ModelSet((8, 8), 4, 4, feature_dim=8, hidden=16, backbone_kind="mlp", init_seed=3)
-    return ms, (SgdOptimizer(ms.parameters(), ms.flat, 0.9, 1e-4) if register else None)
+    return ms, SgdOptimizer(ms.parameters(), ms.flat, 0.9, 1e-4)
 
 
 def _batch_loss(ms, seed):
@@ -137,22 +136,15 @@ def _batch_loss(ms, seed):
             + (ms.decoder(feats) - x).square().mean() + ms.cluster_head(feats).square().sum())
 
 
-class TestGradientBuffer:
-    """The optimizer gives each parameter a view of its flat gradient
-    buffer, which backward writes; a step consumes the gradients."""
-
-    def test_backward_writes_the_optimizer_buffer(self):
-        ms, opt = _small_models(register=True)
-        _batch_loss(ms, 0).backward()
-        for p in ms.parameters().values():
-            assert p.grad is p.grad_buffer and np.shares_memory(p.grad, opt._grad)
+class TestGradients:
+    """Backward sets or adds to each parameter's ``grad``; a step copies
+    the gradients into the optimizer's flat buffer and consumes them."""
 
     def test_hand_set_gradient_is_stepped(self):
         params, flat = _flat_params(a=(2, 3), b=(4,))
         opt = SgdOptimizer(params, flat, momentum=0.0, weight_decay=0.0)
-        (params["a"].sum() + params["b"].sum()).backward()  # ones, into the buffer
-        assert params["a"].grad is params["a"].grad_buffer
-        params["b"].grad = np.full(4, 2.0, np.float32)  # set by hand, not the view
+        (params["a"].sum() + params["b"].sum()).backward()  # ones
+        params["b"].grad = np.full(4, 2.0, np.float32)  # set by hand
         opt.step(0.5)
         assert np.all(params["a"].data == 0.5) and np.all(params["b"].data == 0.0)
 
@@ -170,11 +162,10 @@ class TestGradientBuffer:
         assert flats[0] == flats[1]
 
     def test_step_consumes_the_gradients(self):
-        """The rule: a step sets every ``grad`` to None, so none shows the
-        scratch values the step leaves in the buffer, and the next backward
-        writes the buffer afresh, as after setting each ``grad`` to None."""
-        ms, opt = _small_models(register=True)
-        ref, _ = _small_models(register=False)
+        """The rule: a step sets every ``grad`` to None, so the next
+        backward gives the gradients of a model set no step touched."""
+        ms, opt = _small_models()
+        ref, _ = _small_models()
         for seed in range(3):
             _batch_loss(ms, seed).backward()
             _batch_loss(ref, seed).backward()
@@ -186,19 +177,19 @@ class TestGradientBuffer:
             for p in ref.parameters().values():
                 p.grad = None
 
-    def test_second_backward_adds_in_place(self):
-        ms, _ = _small_models(register=True)
-        ref, _ = _small_models(register=False)
+    def test_second_backward_adds(self):
+        ms, _ = _small_models()
+        params = ms.parameters()
+        single = []
+        for seed in (1, 2):
+            _batch_loss(ms, seed).backward()
+            single.append({name: p.grad for name, p in params.items()})
+            for p in params.values():
+                p.grad = None
         _batch_loss(ms, 1).backward()
         _batch_loss(ms, 2).backward()
-        _batch_loss(ref, 1).backward()
-        g1 = {name: p.grad for name, p in ref.parameters().items()}
-        for p in ref.parameters().values():
-            p.grad = None
-        _batch_loss(ref, 2).backward()
-        for (name, p), q in zip(ms.parameters().items(), ref.parameters().values()):
-            assert p.grad is p.grad_buffer
-            assert p.grad.tobytes() == (g1[name] + q.grad).tobytes(), name
+        for name, p in params.items():
+            assert p.grad.tobytes() == (single[0][name] + single[1][name]).tobytes(), name
 
     def test_infinite_gradient_is_not_nan(self):
         params, flat = _flat_params(a=(2, 3), b=(4,))
@@ -212,7 +203,7 @@ class TestGradientBuffer:
         assert np.isinf(params["a"].data).all() and np.all(np.isfinite(params["b"].data))
 
     def test_nan_from_backward_raises_and_changes_nothing(self):
-        ms, opt = _small_models(register=True)
+        ms, opt = _small_models()
         x = Tensor(np.full((2, 8, 8), np.nan, np.float32))
         ms.classifier.logits(ms.backbone(x)).sum().backward()
         flat = ms.flat.copy()
@@ -220,39 +211,6 @@ class TestGradientBuffer:
             opt.step(0.1)
         assert ms.flat.tobytes() == flat.tobytes()
         assert not any(v.any() for v in opt.velocities.values())
-
-    @pytest.mark.parametrize("row", ["CE", "+A+B+C"])
-    def test_batch_gradients_match_unregistered(self, monkeypatch, row):
-        """Each desk-shaped training batch gives every parameter the same
-        gradient bytes through the optimizer's buffer as through arrays
-        of its own, a model set no optimizer registered."""
-        cfg = tiny_config(**{"data.samples": 100, "data.image_size": 12, "model.hidden": 256,
-                             "model.feature_dim": 64, "losses.lambda": 0.1, "train.batch_size": 64,
-                             "losses.classification_view": "clean"})
-        cfg = ablation_row_config(cfg, row)
-        step = SgdOptimizer.step
-        seen = []
-
-        def recording(opt, lr):
-            seen.append({name: (p.grad is not None and p.grad is p.grad_buffer,
-                                None if p.grad is None else p.grad.tobytes())
-                         for name, p in opt.params.items()})
-            step(opt, lr)
-
-        monkeypatch.setattr(SgdOptimizer, "step", recording)
-        registered, unregistered = build_experiment(cfg), build_experiment(cfg)
-        for p in unregistered.models.parameters().values():
-            p.grad_buffer = None
-        train_epoch(registered, 1)
-        got, seen[:] = seen[:], []
-        train_epoch(unregistered, 1)
-        assert len(got) == len(seen) == 2  # a full batch and a partial one
-        for batch, want in zip(got, seen):
-            assert {name: g for name, (_, g) in batch.items()} == {name: g for name, (_, g) in want.items()}
-            # reached parameters hold views of the buffer in the registered run only
-            assert all(is_view == (g is not None) for is_view, g in batch.values())
-            assert not any(is_view for is_view, _ in want.values())
-        assert registered.models.flat.tobytes() == unregistered.models.flat.tobytes()
 
 
 class TestLrSchedule:
