@@ -63,10 +63,8 @@ class ShapeError(ValueError):
     """Operand shapes invalid for an operator."""
 
 
-def _as_array(data, dtype=None):
+def _as_array(data):
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(DEFAULT_DTYPE)
@@ -92,14 +90,12 @@ def _spent(g):
 class Tensor:
     """A numpy array with an optional gradient and graph provenance."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_exp", "_parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad = None
-        # exp(data), when the op that made this tensor computed it
-        self._exp = None
         self._parents = ()
         self._backward = None
         self.op = "leaf"
@@ -111,7 +107,7 @@ class Tensor:
         # numpy scalars from full reductions and arithmetic on 0-d arrays.
         out = object.__new__(Tensor)
         out.data = data if type(data) is np.ndarray else np.asarray(data)
-        out.grad = out._exp = None
+        out.grad = None
         out.op = op
         if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -340,9 +336,7 @@ class Tensor:
         def backward(g, a=self, sm=sm, axis=axis):
             return ((a, g - sm * g.sum(axis=axis, keepdims=True)),)
 
-        result = Tensor._result(out, (self,), backward, "log_softmax")
-        result._exp = sm
-        return result
+        return Tensor._result(out, (self,), backward, "log_softmax")
 
 
 def _unbroadcast(grad, shape):

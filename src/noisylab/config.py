@@ -187,13 +187,13 @@ def validate(cfg: dict) -> dict:
     return cfg
 
 
-def parse_entries(entries, base: dict | None = None) -> dict:
-    """Apply raw ``key = value`` string pairs on top of defaults (or ``base``).
+def parse_entries(entries) -> dict:
+    """Apply raw ``key = value`` string pairs on top of defaults.
 
     Every value is parsed with its schema type; all violations (unknown keys,
     type errors) are collected before raising.
     """
-    cfg = dict(base) if base is not None else default_config()
+    cfg = default_config()
     errors = []
     for key, raw in entries:
         if key not in SCHEMA:

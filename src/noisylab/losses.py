@@ -224,9 +224,7 @@ def bootstrap_loss(log_pred: Tensor, noisy_onehot, alpha: float) -> Tensor:
             f"bootstrap_loss: labels shape {onehot.shape} vs predictions {log_pred.shape}"
         )
     lp = log_pred.data
-    # a log_softmax result holds exp(lp) already
-    rows = np.exp(lp) if log_pred._exp is None else log_pred._exp
-    _check_rows_normalized(rows, "bootstrap_loss exp(log_pred)")
+    _check_rows_normalized(np.exp(lp), "bootstrap_loss exp(log_pred)")
     if alpha != 0.0:
         noisy_ce, noisy_grad = _cross_entropy(Tensor(onehot).data, lp)
     if alpha != 1.0:

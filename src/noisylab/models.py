@@ -180,22 +180,11 @@ class ModelSet:
                 view[...] = rng.uniform(-bound, bound, size=view.shape)
             tensor.data = view
 
-    def named_modules(self):
-        """In construction order, which is the order of ``flat`` and of the
-        init draw."""
-        return {
-            "backbone": self.backbone,
-            "decoder": self.decoder,
-            "classifier": self.classifier,
-            "cluster": self.cluster_head,
-        }
-
     def parameters(self) -> dict:
-        params = {}
-        for prefix, module in self.named_modules().items():
-            for name, tensor in module.parameters().items():
-                params[f"{prefix}.{name}"] = tensor
-        return params
-
-    def state_arrays(self) -> dict:
-        return {name: p.data for name, p in self.parameters().items()}
+        """Every parameter as ``<module>.<name>``, the modules in
+        construction order, which is the order of ``flat`` and of the init
+        draw."""
+        modules = {"backbone": self.backbone, "decoder": self.decoder,
+                   "classifier": self.classifier, "cluster": self.cluster_head}
+        return {f"{prefix}.{name}": tensor for prefix, module in modules.items()
+                for name, tensor in module.parameters().items()}

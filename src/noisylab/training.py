@@ -295,8 +295,8 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
     return exp
 
 
-def _onehot(labels, num_classes, dtype=np.float32):
-    out = np.zeros((len(labels), num_classes), dtype=dtype)
+def _onehot(labels, num_classes):
+    out = np.zeros((len(labels), num_classes), np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
@@ -451,58 +451,45 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
 # ---------------------------------------------------------------------------
 
 class _RunLock:
-    """An exclusive ``flock`` on the run's ``.lock`` file, which names the
-    holder's PID for humans. The kernel releases the lock when its holder
-    exits, however it exits, so a lock cannot go stale: a ``.lock`` that
-    no process holds does not block a run."""
+    """An exclusive ``flock`` on the run's ``.lock`` file. The file is never
+    unlinked, so every process locks the same inode; it names the holder's
+    PID while the lock is held and is empty otherwise. The kernel releases
+    the lock when its holder exits, however it exits, so a lock cannot go
+    stale: a PID that a crash left in ``.lock`` does not block a run, and
+    the next holder overwrites it."""
 
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
         self.fd = None
 
     def __enter__(self):
-        while True:
-            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o666)  # os.open's default mode is 0o777
+        try:
             try:
-                st = self._lock(fd)
-                if st is not None:
-                    # only a file left by a crash holds bytes; truncating an
-                    # empty one still costs ~0.1 ms on ext4
-                    if st.st_size:
-                        os.ftruncate(fd, 0)
-                    os.write(fd, str(os.getpid()).encode())
-                    self.fd = fd
-                    return self
-            except BaseException:
-                os.close(fd)
-                raise
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise RunLockError(f"run directory is locked: {self.path}") from None
+            # only a file left by a crash holds bytes; truncating an empty
+            # one still costs ~0.1 ms on ext4
+            if os.fstat(fd).st_size:
+                os.ftruncate(fd, 0)
+            os.write(fd, str(os.getpid()).encode())
+        except BaseException:
             os.close(fd)
-
-    def _lock(self, fd):
-        """Lock ``fd`` and return its ``os.fstat``. None if ``.lock`` no
-        longer names its file: a releasing holder unlinks it before it
-        unlocks, so the lock is void."""
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise RunLockError(f"run directory is locked: {self.path}") from None
-        st = os.fstat(fd)
-        try:
-            return st if os.path.samestat(st, os.stat(self.path)) else None
-        except FileNotFoundError:
-            return None
+            raise
+        self.fd = fd
+        return self
 
     def __exit__(self, *exc):
         try:
-            self.path.unlink(missing_ok=True)
+            os.ftruncate(self.fd, 0)
         finally:
             os.close(self.fd)
-            self.fd = None
         return False
 
 
 def _ckpt_state(exp: Experiment) -> dict:
-    arrays = dict(exp.models.state_arrays())
+    arrays = {name: p.data for name, p in exp.models.parameters().items()}
     for name, v in exp.optimizer.velocities.items():
         arrays[f"velocity.{name}"] = v
     return arrays
@@ -520,7 +507,8 @@ def _append_metrics(path, record: MetricsRecord):
 
 def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
     """Keep the header and the first ``epochs`` rows of metrics.csv; return
-    the last kept row, or None when ``epochs`` is 0.
+    the last kept row, or None when ``epochs`` is 0. The kept rows must read
+    epochs 0 to ``epochs - 1`` in order.
 
     A crash after an epoch's row was appended but before its checkpoint was
     saved leaves extra rows; only then is the file cut.
@@ -529,6 +517,9 @@ def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
         lines = fh.readlines()
     if len(lines) < epochs + 1:
         raise CheckpointError(f"{path}: {len(lines) - 1} rows for {epochs} finished epochs")
+    for epoch, line in enumerate(lines[1 : epochs + 1]):
+        if line.split(b",", 1)[0] != b"%d" % epoch:
+            raise CheckpointError(f"{path}: row {epoch + 1} is not epoch {epoch}")
     if len(lines) > epochs + 1:
         with open(path, "r+b") as fh:
             fh.truncate(sum(len(line) for line in lines[: epochs + 1]))

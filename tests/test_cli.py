@@ -1,12 +1,17 @@
 import errno
 import io
+import os
+import select
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisylab
 from noisylab import config as config_mod
 from noisylab import data as data_mod
 from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _load_config, build_parser, main
@@ -239,6 +244,38 @@ def stopped_run(tmp_path_factory):
     return run
 
 
+# holds the run lock of the directory argv[1] until killed
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from noisylab.training import _RunLock
+with _RunLock(Path(sys.argv[1])):
+    print("holding", flush=True)
+    time.sleep(600)
+"""
+
+
+def test_lock_held_by_another_process(stopped_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    env = {**os.environ, "PYTHONPATH": str(Path(noisylab.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(run)], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        # readline would wait forever on a child that hangs before it prints
+        assert select.select([child.stdout], [], [], 60)[0] and child.stdout.readline() == "holding\n"
+        assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+        assert "locked" in capsys.readouterr().err
+        assert (run / ".lock").read_text() == str(child.pid)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    # the kernel released the killed holder's lock; its PID is overwritten
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_OK
+    assert (run / ".lock").read_bytes() == b""
+
+
 @pytest.mark.parametrize("name,shape", [
     ("velocity.backbone.w1", (3,)),
     ("backbone.b1", (3,)),
@@ -340,7 +377,9 @@ def test_train_rejects_split_without_training_sample(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "data.val_fraction" in err and "data.samples" in err
-    assert list(run.iterdir()) == []
+    # the lock is taken before the split is drawn; no config.txt is written
+    assert list(run.iterdir()) == [run / ".lock"]
+    assert (run / ".lock").read_bytes() == b""
 
 
 def test_train_rejects_override_set_twice(tmp_path, capsys):

@@ -598,7 +598,7 @@ class TestRunExperiment:
             assert (run / name).exists()
         for name in ("init.ckpt", "best.ckpt", "last.ckpt"):
             assert (run / "checkpoints" / name).exists()
-        assert not (run / ".lock").exists()
+        assert (run / ".lock").read_bytes() == b""
         lines = (run / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + cfg["train.epochs"]
         on_disk = json.loads((run / "summary.json").read_text())
@@ -631,7 +631,7 @@ class TestRunExperiment:
         run.mkdir()
         (run / ".lock").write_text(content)
         assert run_experiment(tiny_config(), run)["finished"]
-        assert not (run / ".lock").exists()
+        assert (run / ".lock").read_bytes() == b""
 
     def test_lock_file_names_holder_only(self, tmp_path):
         (tmp_path / ".lock").write_text("9" * 12)  # longer than any PID here
@@ -645,34 +645,19 @@ class TestRunExperiment:
         run.mkdir()
         (run / ".lock").write_text(str(child.pid))
         assert run_experiment(tiny_config(), run)["finished"]
-        assert not (run / ".lock").exists()
+        assert (run / ".lock").read_bytes() == b""
 
-    def test_lock_of_unlinked_file_is_retaken(self, tmp_path, monkeypatch):
-        # A holder that releases unlinks .lock and then unlocks. A process
-        # that opened the old file meanwhile gets a lock on a file no
-        # longer at the path, and must lock the path's file instead.
-        run = tmp_path / "run"
-        run.mkdir()
-        path = run / ".lock"
-        flock, calls = training_mod.fcntl.flock, []
-
-        def racing_flock(fd, op):
-            calls.append(fd)
-            if len(calls) == 1:
-                path.unlink()
-                path.write_text("")
-            return flock(fd, op)
-
-        monkeypatch.setattr(training_mod.fcntl, "flock", racing_flock)
-        with training_mod._RunLock(run) as lock:
-            monkeypatch.undo()
-            assert len(calls) == 2
-            assert os.path.samestat(os.fstat(lock.fd), os.stat(path))
-            assert path.read_text() == str(os.getpid())
-            with pytest.raises(RunLockError):
-                with training_mod._RunLock(run):
-                    pass
-        assert not path.exists()
+    def test_lock_release_keeps_the_file(self, tmp_path):
+        # every holder locks the same inode: release empties .lock and
+        # never unlinks it
+        path = tmp_path / ".lock"
+        with training_mod._RunLock(tmp_path):
+            before = os.stat(path)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size) == (before.st_ino, 0)
+        assert not after.st_mode & 0o111  # a data file, not an executable
+        with training_mod._RunLock(tmp_path) as lock:
+            assert os.fstat(lock.fd).st_ino == before.st_ino
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config(**{"train.epochs": 4})
@@ -708,7 +693,7 @@ class TestRunExperiment:
             run_experiment(cfg, run)
         monkeypatch.undo()
         ckpt_dir = run / "checkpoints"
-        assert not (ckpt_dir / "last.ckpt.tmp").exists() and not (run / ".lock").exists()
+        assert not (ckpt_dir / "last.ckpt.tmp").exists() and (run / ".lock").read_bytes() == b""
         assert load_checkpoint(ckpt_dir / "last.ckpt")[1]["epoch"] == 1
 
         run_experiment({}, run, resume=True)
@@ -795,6 +780,19 @@ class TestRunExperiment:
         (run / "metrics.csv").write_text("".join(lines[:2]))
         with pytest.raises(CheckpointError, match="1 rows for 2 finished epochs"):
             run_experiment({}, run, resume=True)
+
+    def test_resume_rejects_metrics_rows_out_of_order(self, tmp_path):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        path = run / "metrics.csv"
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        rows = [rows[1], rows[0], b"7" + rows[2][1:]]  # epochs 1, 0, 7
+        path.write_bytes(header + b"".join(rows))
+        (run / "summary.json").unlink()
+        with pytest.raises(CheckpointError, match="row 1 is not epoch 0"):
+            run_experiment({}, run, resume=True)
+        assert path.read_bytes() == header + b"".join(rows)
+        assert not (run / "summary.json").exists()
 
     @pytest.mark.parametrize("writer", ["save_dataset", "_write_metrics_header", "save_checkpoint"])
     def test_crash_in_set_up_leaves_directory_reusable(self, tmp_path, monkeypatch, writer):
