@@ -73,8 +73,7 @@ def cmd_generate(args) -> int:
 
 def cmd_corrupt(args) -> int:
     ds = load_dataset(args.input)
-    spec = NoiseSpec(kind=args.kind, epsilon=args.eps, num_classes=ds.num_classes,
-                     seed=args.seed, wrap_last_class=not args.no_wrap)
+    spec = NoiseSpec(kind=args.kind, epsilon=args.eps, seed=args.seed, wrap_last_class=not args.no_wrap)
     corrupted = inject_noise(ds, spec)
     save_dataset(corrupted, args.out)
     matrix, undefined = empirical_transition_matrix(corrupted)

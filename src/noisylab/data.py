@@ -63,7 +63,6 @@ class PayloadShapeError(DatasetFileError):
 class NoiseSpec:
     kind: str  # "symmetric" | "asymmetric"
     epsilon: float
-    num_classes: int
     seed: int
     wrap_last_class: bool = True
 
@@ -72,8 +71,6 @@ class NoiseSpec:
             raise DatasetError(f"unknown noise kind: {self.kind!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DatasetError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.num_classes < 2:
-            raise DatasetError("need at least 2 classes")
         if self.kind == "asymmetric" and self.epsilon > 0.5:
             warnings.warn(
                 "asymmetric noise with epsilon > 0.5 flips the majority of each class",
@@ -185,10 +182,6 @@ def inject_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
     """
     if ds.corrupted.any() or not np.array_equal(ds.clean_labels, ds.noisy_labels):
         raise DoubleInjectionError("dataset already carries injected noise")
-    if spec.num_classes != ds.num_classes:
-        raise DatasetError(
-            f"spec is for {spec.num_classes} classes, dataset has {ds.num_classes}"
-        )
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     noisy = ds.clean_labels.copy()

@@ -36,7 +36,7 @@ from .data import (
     save_dataset,
     write_arrays,
 )
-from .losses import bootstrap_loss, cluster_loss, reconstruction_loss, total_loss
+from .losses import LossInputError, bootstrap_loss, cluster_loss, reconstruction_loss, total_loss
 from .models import ModelSet
 
 DIVERGENCE_LIMIT = 1e4
@@ -225,16 +225,19 @@ class Experiment:
     policy: AugmentPolicy
 
 
-def build_dataset(cfg: dict) -> LabeledDataset:
+def _input_shape(cfg: dict) -> tuple:
+    """One sample's feature shape in the dataset of ``cfg``."""
     if cfg["data.kind"] == "images":
-        shape = (cfg["data.image_size"], cfg["data.image_size"])
-    else:
-        shape = cfg["data.dims"]
-    ds = generate_blobs(cfg["data.samples"], cfg["data.classes"], shape,
+        return (cfg["data.image_size"], cfg["data.image_size"])
+    return (cfg["data.dims"],)
+
+
+def build_dataset(cfg: dict) -> LabeledDataset:
+    shape = _input_shape(cfg)
+    ds = generate_blobs(cfg["data.samples"], cfg["data.classes"], shape[0] if len(shape) == 1 else shape,
                         cfg["data.separation"], cfg["seeds.data"])
     if cfg["noise.kind"] != "none" and cfg["noise.epsilon"] > 0:
-        spec = NoiseSpec(kind=cfg["noise.kind"], epsilon=cfg["noise.epsilon"],
-                         num_classes=cfg["data.classes"], seed=cfg["seeds.data"] + 1,
+        spec = NoiseSpec(kind=cfg["noise.kind"], epsilon=cfg["noise.epsilon"], seed=cfg["seeds.data"] + 1,
                          wrap_last_class=cfg["noise.wrap_last_class"])
         ds = inject_noise(ds, spec)
     return ds
@@ -257,14 +260,24 @@ def build_experiment(cfg: dict, dataset: LabeledDataset | None = None,
                      checkpoint: dict | None = None) -> Experiment:
     """Wire a config into an experiment. The parameters are drawn from
     ``seeds.init``; given a checkpoint's arrays, the parameters and velocities
-    are copied from them instead and nothing is drawn. A checkpoint whose
-    names, shapes or dtypes do not fit the model, or that holds an inf or
-    NaN, raises CheckpointError."""
+    are copied from them instead and nothing is drawn. The model is sized
+    from the dataset: a given one whose sample count, class count or input
+    shape differs from the dataset ``build_dataset`` makes for ``cfg``
+    raises DatasetFileError. A checkpoint whose names, shapes or dtypes do
+    not fit the model, or that holds an inf or NaN, raises CheckpointError."""
     cfg = config_mod.validate(dict(cfg))
-    ds = dataset if dataset is not None else build_dataset(cfg)
+    if dataset is None:
+        ds = build_dataset(cfg)
+    else:
+        ds = dataset
+        for what, have, want in (("samples", len(ds), cfg["data.samples"]),
+                                 ("classes", ds.num_classes, cfg["data.classes"]),
+                                 ("input shape", ds.input_shape, _input_shape(cfg))):
+            if have != want:
+                raise DatasetFileError(f"dataset does not fit the config: {what} {have}, expected {want}")
     train_idx, val_idx = split_indices(cfg, len(ds))
-    models = ModelSet(input_shape=ds.input_shape, num_classes=cfg["data.classes"],
-                      num_clusters=cfg["model.clusters"] or cfg["data.classes"],
+    models = ModelSet(input_shape=ds.input_shape, num_classes=ds.num_classes,
+                      num_clusters=cfg["model.clusters"] or ds.num_classes,
                       feature_dim=cfg["model.feature_dim"], hidden=cfg["model.hidden"],
                       backbone_kind=cfg["model.backbone"],
                       init_seed=cfg["seeds.init"] if checkpoint is None else None)
@@ -382,18 +395,31 @@ def _train_pass(exp: Experiment, epoch: int, lr: float, alpha: float) -> dict:
         # column; C's columns hold its three parts, so its sum goes under
         # their prefix
         terms, parts = {}, {}
-        if use_a:
-            feats = feat_clean if classify_clean else feat_aug
-            log_pred = exp.models.classifier.log_probs(feats)
-            terms["loss_bootstrap"] = bootstrap_loss(log_pred, noisy_epoch[lo:hi], alpha)
-        if use_b:
-            x_hat = exp.models.decoder(feat_aug)
-            terms["loss_rec"] = reconstruction_loss(x_hat, x_clean_np)
-        if use_c:
-            clean_probs = exp.models.cluster_head(feat_clean)
-            aug_probs = exp.models.cluster_head(feat_aug)
-            terms["loss_cluster"], parts = cluster_loss(clean_probs, aug_probs, cfg["losses.lambda"],
-                                                        cfg["losses.block_target_grad"])
+        try:
+            if use_a:
+                feats = feat_clean if classify_clean else feat_aug
+                log_pred = exp.models.classifier.log_probs(feats)
+                terms["loss_bootstrap"] = bootstrap_loss(log_pred, noisy_epoch[lo:hi], alpha)
+            if use_b:
+                x_hat = exp.models.decoder(feat_aug)
+                terms["loss_rec"] = reconstruction_loss(x_hat, x_clean_np)
+            if use_c:
+                clean_probs = exp.models.cluster_head(feat_clean)
+                aug_probs = exp.models.cluster_head(feat_aug)
+                terms["loss_cluster"], parts = cluster_loss(clean_probs, aug_probs, cfg["losses.lambda"],
+                                                            cfg["losses.block_target_grad"])
+        except LossInputError:
+            # A step can leave the parameters non-finite, or finite but so
+            # large that this batch's forward overflows; either way the
+            # loss's row check sees NaN probabilities before the guard sees
+            # a loss. Finite rows give NaN only through such a model.
+            bad = exp.optimizer.first_nonfinite()
+            if bad is not None:
+                raise DivergenceError(f"{bad} is not finite in epoch {epoch}") from None
+            if np.isfinite(x_clean_np).all():
+                raise DivergenceError(f"the forward pass overflowed in epoch {epoch}, with parameters "
+                                      f"up to {np.abs(exp.models.flat).max():.3g}") from None
+            raise
 
         total = total_loss(terms)
         tensors = {"loss_total": total, **terms, **dict(zip(LOSS_COLUMNS[3:], parts.values()))}
@@ -428,8 +454,9 @@ def train_epoch(exp: Experiment, epoch: int) -> MetricsRecord:
         raise DivergenceError(f"{bad} is not finite after epoch {epoch}")
 
     ds = exp.dataset
-    train_preds = predict_classes(exp.models, ds.features[exp.train_idx])
-    val_preds = predict_classes(exp.models, ds.features[exp.val_idx])
+    # a row's prediction does not depend on the other rows of its batch
+    preds = predict_classes(exp.models, ds.features)
+    train_preds, val_preds = preds[exp.train_idx], preds[exp.val_idx]
     corrupted_mask = ds.corrupted[exp.train_idx]
     corrupted_preds = train_preds[corrupted_mask]
     corrupted_clean = ds.clean_labels[exp.train_idx][corrupted_mask]
@@ -505,10 +532,26 @@ def _append_metrics(path, record: MetricsRecord):
         fh.write(",".join(repr(getattr(record, c)) for c in METRICS_COLUMNS) + "\n")
 
 
+# Whether a field parses as a float does not depend on which digits it
+# holds, so a resume checks the kept rows of metrics.csv by parsing each
+# distinct field once with its digits set to 0: 14 parses instead of 780 for
+# a 60-epoch desk run.
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _parses(field: bytes) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
     """Keep the header and the first ``epochs`` rows of metrics.csv; return
-    the last kept row, or None when ``epochs`` is 0. The kept rows must read
-    epochs 0 to ``epochs - 1`` in order.
+    the last kept row, or None when ``epochs`` is 0. Each kept row must hold
+    ``len(METRICS_COLUMNS)`` fields: its epoch, counting from 0, then
+    numbers. A row that does not raises CheckpointError and changes nothing.
 
     A crash after an epoch's row was appended but before its checkpoint was
     saved leaves extra rows; only then is the file cut.
@@ -517,19 +560,24 @@ def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
         lines = fh.readlines()
     if len(lines) < epochs + 1:
         raise CheckpointError(f"{path}: {len(lines) - 1} rows for {epochs} finished epochs")
-    for epoch, line in enumerate(lines[1 : epochs + 1]):
+    kept = lines[1 : epochs + 1]
+    for epoch, line in enumerate(kept):
         if line.split(b",", 1)[0] != b"%d" % epoch:
             raise CheckpointError(f"{path}: row {epoch + 1} is not epoch {epoch}")
+        if line.count(b",") != len(METRICS_COLUMNS) - 1:
+            raise CheckpointError(f"{path}: row {epoch + 1} has {line.count(b',') + 1} fields, "
+                                  f"expected {len(METRICS_COLUMNS)}")
+    # float() ignores the newline that ends each row
+    if kept and not all(map(_parses, set(b",".join(kept).translate(_ZERO_DIGITS).split(b",")))):
+        row = next(i for i, line in enumerate(kept, 1) if not all(map(_parses, line.split(b","))))
+        raise CheckpointError(f"{path}: row {row} holds a field that is not a number")
     if len(lines) > epochs + 1:
         with open(path, "r+b") as fh:
             fh.truncate(sum(len(line) for line in lines[: epochs + 1]))
-    if epochs == 0:
+    if not kept:
         return None
-    try:
-        epoch, *values = lines[epochs].decode().split(",")
-        return MetricsRecord(int(epoch), *map(float, values))
-    except (ValueError, TypeError):
-        raise CheckpointError(f"{path}: malformed row for epoch {epochs - 1}") from None
+    _, *values = kept[-1].split(b",")
+    return MetricsRecord(epochs - 1, *map(float, values))
 
 
 def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bool = False) -> dict:

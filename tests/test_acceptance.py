@@ -211,7 +211,7 @@ def test_criterion_3_noise_statistics():
     n, c = 100_000, 4
     ds = generate_blobs(n, c, 2, 1.0, seed=0)
 
-    sym = inject_noise(ds, NoiseSpec("symmetric", 0.6, c, seed=1))
+    sym = inject_noise(ds, NoiseSpec("symmetric", 0.6, seed=1))
     m_sym, undef = empirical_transition_matrix(sym)
     sym_ok = not undef.any()
     for i in range(c):
@@ -220,7 +220,7 @@ def test_criterion_3_noise_statistics():
             if j != i:
                 sym_ok = sym_ok and abs(m_sym[i, j] - 0.2) <= 0.01
 
-    asym = inject_noise(ds, NoiseSpec("asymmetric", 0.3, c, seed=2))
+    asym = inject_noise(ds, NoiseSpec("asymmetric", 0.3, seed=2))
     m_asym, undef = empirical_transition_matrix(asym)
     asym_ok = not undef.any()
     for i in range(c):

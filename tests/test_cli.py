@@ -17,7 +17,7 @@ from noisylab import data as data_mod
 from noisylab.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _load_config, build_parser, main
 from noisylab.data import load_dataset
 from noisylab.export import compute_embeddings, export_embeddings_csv, export_gallery, load_run_models
-from noisylab.training import load_checkpoint, run_experiment, save_checkpoint
+from noisylab.training import ABLATION_ROWS, load_checkpoint, run_experiment, save_checkpoint
 
 
 TINY = [
@@ -457,6 +457,24 @@ def test_train_reports_divergence(tmp_path, capsys):
     code = main(["train", "--out-dir", str(tmp_path / "r")] + TINY
                 + ["--override", "optim.lr=1e6", "--override", "losses.lambda=100.0"])
     assert code == EXIT_DIVERGENCE
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_mid_epoch_overflow_is_divergence(tmp_path, capsys, command):
+    # several batches per epoch: the first step leaves parameters so large
+    # that the next batch's forward overflows to NaN probabilities
+    run = tmp_path / "r"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--out-dir", str(run)] + _tiny("train.batch_size=16", "optim.lr=1e20"))
+    if command == "train":
+        assert code == EXIT_DIVERGENCE
+        assert "training diverged: the forward pass overflowed in epoch 0" in capsys.readouterr().err
+        assert [p.name for p in (run / "checkpoints").iterdir()] == ["init.ckpt"]
+    else:
+        # every row diverges, and each is recorded
+        assert code == EXIT_RUNTIME
+        rows = (run / "ablation.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[name, "failed"] for name, *_ in ABLATION_ROWS]
 
 
 def test_seed_flag_sets_all_seeds(tmp_path):

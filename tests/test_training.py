@@ -22,8 +22,9 @@ from noisylab import data as data_mod
 from noisylab import models as models_mod
 from noisylab import training as training_mod
 from noisylab.augment import ALL_OPS, augment_batch
-from noisylab.autodiff import Tensor
+from noisylab.autodiff import Tensor, no_grad
 from noisylab.export import load_run_models
+from noisylab.losses import LossInputError
 from noisylab.models import ModelSet
 from noisylab.training import (
     ABLATION_ROWS,
@@ -39,6 +40,7 @@ from noisylab.training import (
     format_ablation_table,
     load_checkpoint,
     lr_at,
+    predict_classes,
     run_ablation,
     run_experiment,
     save_checkpoint,
@@ -535,6 +537,39 @@ class TestWiring:
         assert rec_a.loss_total == rec_b.loss_total
         assert rec_a.val_acc_clean == rec_b.val_acc_clean
 
+    @pytest.mark.parametrize("backbone", ["mlp", "conv"])
+    def test_eval_rows_do_not_depend_on_their_batch(self, backbone):
+        # train_epoch predicts the whole dataset once and reads each split
+        # by index; that is exact only if a row's logits do not depend on
+        # the other rows of its forward pass. 300 rows span two eval chunks.
+        exp = build_experiment(tiny_config(**{"data.samples": 300, "model.backbone": backbone}))
+        for epoch in range(2):
+            train_epoch(exp, epoch)
+        models, features = exp.models, exp.dataset.features
+        with no_grad():
+            logits = models.classifier.logits(models.backbone(Tensor(features))).data
+        preds = predict_classes(models, features)
+        for idx in (exp.train_idx, exp.val_idx, np.arange(len(features))[::-1]):
+            assert preds[idx].tobytes() == predict_classes(models, features[idx]).tobytes()
+            with no_grad():
+                own = models.classifier.logits(models.backbone(Tensor(features[idx]))).data
+            assert logits[idx].tobytes() == own.tobytes()
+
+    def test_epoch_predicts_every_sample_once(self, monkeypatch):
+        exp = build_experiment(tiny_config())
+        calls = []
+
+        def recording(models, features):
+            calls.append(features)
+            return predict_classes(models, features)
+
+        monkeypatch.setattr(training_mod, "predict_classes", recording)
+        rec = train_epoch(exp, 0)
+        assert len(calls) == 1 and calls[0] is exp.dataset.features
+        preds = predict_classes(exp.models, exp.dataset.features)
+        val = exp.val_idx
+        assert rec.val_acc_clean == np.mean(preds[val] == exp.dataset.clean_labels[val])
+
 
 def _assert_same_checkpoints(run, twin):
     for name in ("init", "best", "last"):
@@ -824,16 +859,67 @@ class TestRunExperiment:
         with pytest.raises(CheckpointError):
             run_experiment({}, tmp_path / "run", resume=True)
 
-    @pytest.mark.parametrize("epochs", [1, 2])
-    def test_overflowing_step_writes_no_checkpoint(self, tmp_path, epochs):
-        # one batch per epoch: its loss is finite, but the step leaves
-        # inf and NaN parameters; no later batch in the epoch sees them
+    @pytest.mark.parametrize("epochs,batch_size,lr,match", [
+        (1, 64, 1e39, "backbone.w1 is not finite after epoch 0"),
+        (2, 64, 1e39, "backbone.w1 is not finite after epoch 0"),
+        (1, 16, 1e39, "backbone.w1 is not finite in epoch 0"),
+        (2, 16, 1e39, "backbone.w1 is not finite in epoch 0"),
+        (1, 16, 1e20, "the forward pass overflowed in epoch 0"),
+        (2, 16, 1e20, "the forward pass overflowed in epoch 0"),
+    ], ids=["1", "2", "mid-epoch-inf-1", "mid-epoch-inf-2", "mid-epoch-finite-1", "mid-epoch-finite-2"])
+    def test_overflowing_step_writes_no_checkpoint(self, tmp_path, epochs, batch_size, lr, match):
+        # One batch per epoch: its loss is finite, but the step leaves inf
+        # and NaN parameters, which no later batch in the epoch sees. Four
+        # batches: a step leaves parameters that are inf, or finite but so
+        # large that the next batch's forward overflows; that batch's loss
+        # sees NaN probabilities before the guard sees a loss.
         run = tmp_path / "run"
-        cfg = tiny_config(**{"train.epochs": epochs, "train.batch_size": 64, "optim.lr": 1e39})
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="is not finite after epoch 0"):
+        cfg = tiny_config(**{"train.epochs": epochs, "train.batch_size": batch_size, "optim.lr": lr})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=match):
             run_experiment(cfg, run)
         assert [p.name for p in (run / "checkpoints").iterdir()] == ["init.ckpt"]
         assert (run / "metrics.csv").read_text() == ",".join(METRICS_COLUMNS) + "\n"
+
+    def test_loss_input_error_of_finite_model_is_not_divergence(self):
+        # a NaN sample makes NaN probabilities with finite parameters
+        exp = build_experiment(tiny_config(**{"train.batch_size": 16}))
+        exp.dataset.features[exp.train_idx[40]] = np.nan
+        with pytest.raises(LossInputError):
+            train_epoch(exp, 0)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"data.samples": 48}, "samples 48, expected 64"),
+        ({"data.classes": 3}, "classes 3, expected 4"),
+        ({"data.image_size": 6}, r"input shape \(6, 6\), expected \(8, 8\)"),
+    ], ids=["samples", "classes", "shape"])
+    def test_resume_rejects_dataset_that_does_not_fit_config(self, tmp_path, change, message):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(**{"model.backbone": "conv"}), run, stop_after=1)
+        data_mod.save_dataset(build_dataset(tiny_config(**change)), run / "dataset.bin")
+        before = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+        with pytest.raises(data_mod.DatasetFileError, match=f"dataset does not fit the config: {message}"):
+            run_experiment({}, run, resume=True)
+        with pytest.raises(data_mod.DatasetFileError, match=message):
+            load_run_models(run, "last")
+        assert {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()} == before
+
+    @pytest.mark.parametrize("row,message", [
+        (b"0,garbage,nan\n", "row 1 has 3 fields, expected 13"),
+        (None, "row 1 holds a field that is not a number"),
+    ], ids=["fields", "number"])
+    def test_resume_rejects_malformed_metrics_rows(self, tmp_path, row, message):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        path = run / "metrics.csv"
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        epoch, _, *rest = rows[0].split(b",")
+        rows[0] = row or b",".join([epoch, b"garbage", *rest])  # its lr replaced, 13 fields
+        path.write_bytes(header + b"".join(rows))
+        (run / "summary.json").unlink()
+        with pytest.raises(CheckpointError, match=message):
+            run_experiment({}, run, resume=True)
+        assert path.read_bytes() == header + b"".join(rows)
+        assert not (run / "summary.json").exists()
 
 
 class TestAblation:
