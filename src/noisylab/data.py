@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import warnings
 from contextlib import contextmanager
@@ -276,10 +277,16 @@ def read_arrays(path):
 
     Only whitelisted dtypes are read, every length is checked against the
     file, and the last array must end exactly at end of file. The arrays are
-    writable views into one buffer holding the file, not copies, so they may
-    be unaligned.
+    views into a private copy-on-write map of the file, not copies, so they
+    may be unaligned; writing into them never reaches the file. A caller
+    copies out what it keeps: once the file is cut short, reading a view of
+    its lost pages raises SIGBUS.
     """
-    blob = np.fromfile(path, np.uint8)
+    with open(path, "rb") as fh:
+        try:
+            blob = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
+        except ValueError:  # an empty file cannot be mapped
+            blob = np.empty(0, np.uint8)
     header = blob[:_HEADER_BYTES].tobytes()
     if len(header) < _HEADER_BYTES:
         raise CorruptHeaderError(f"{path}: truncated header")
@@ -322,7 +329,8 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset file. Each array must be stored in the dtype
-    ``save_dataset`` writes, and ``num_classes`` must be an integer >= 2."""
+    ``save_dataset`` writes, every feature must be finite, and
+    ``num_classes`` must be an integer >= 2."""
     arrays, meta = read_arrays(path)
     try:
         stored = {name: arrays[name] for name in _DATASET_DTYPES}
@@ -338,6 +346,10 @@ def load_dataset(path) -> LabeledDataset:
         raise CorruptHeaderError(f"{path}: num_classes must be an integer >= 2, got {num_classes!r}")
     # astype copies: the dataset owns aligned arrays, not views of the file
     fields = {name: stored[name].astype(dtype) for name, dtype in _DATASET_DTYPES.items()}
+    features = fields["features"]
+    if not np.isfinite(features).all():
+        first = np.isfinite(features.reshape(len(features), -1)).all(axis=1).argmin()
+        raise DatasetFileError(f"{path}: sample {first} has a feature that is not finite")
     return LabeledDataset(**fields, num_classes=num_classes)
 
 

@@ -551,7 +551,8 @@ def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
     """Keep the header and the first ``epochs`` rows of metrics.csv; return
     the last kept row, or None when ``epochs`` is 0. Each kept row must hold
     ``len(METRICS_COLUMNS)`` fields: its epoch, counting from 0, then
-    numbers. A row that does not raises CheckpointError and changes nothing.
+    numbers, which in the last kept row must be finite. A row that does not
+    raises CheckpointError and changes nothing.
 
     A crash after an epoch's row was appended but before its checkpoint was
     saved leaves extra rows; only then is the file cut.
@@ -571,13 +572,17 @@ def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
     if kept and not all(map(_parses, set(b",".join(kept).translate(_ZERO_DIGITS).split(b",")))):
         row = next(i for i, line in enumerate(kept, 1) if not all(map(_parses, line.split(b","))))
         raise CheckpointError(f"{path}: row {row} holds a field that is not a number")
+    record = None
+    if kept:
+        # the summary is built from this row, and JSON has no inf or NaN
+        _, *values = map(float, kept[-1].split(b","))
+        if not all(map(math.isfinite, values)):
+            raise CheckpointError(f"{path}: row {epochs} holds a number that is not finite")
+        record = MetricsRecord(epochs - 1, *values)
     if len(lines) > epochs + 1:
         with open(path, "r+b") as fh:
             fh.truncate(sum(len(line) for line in lines[: epochs + 1]))
-    if not kept:
-        return None
-    _, *values = kept[-1].split(b",")
-    return MetricsRecord(epochs - 1, *map(float, values))
+    return record
 
 
 def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bool = False) -> dict:
@@ -619,6 +624,8 @@ def run_experiment(cfg: dict, out_dir, stop_after: int | None = None, resume: bo
             best_acc, best_epoch = meta["best_acc"], meta["best_epoch"]
             if start_epoch < cfg["train.epochs"]:
                 exp = build_experiment(cfg, load_dataset(out_dir / "dataset.bin"), arrays)
+            # unmaps the checkpoint, whose pages would count in RSS all run
+            del arrays
         else:
             if (out_dir / "config.txt").exists():
                 raise FileExistsError(f"{out_dir} already holds a run; continue it with "

@@ -328,6 +328,57 @@ def test_non_finite_checkpoint_rejected(stopped_run, tmp_path, capsys, name):
     assert f"checkpoint array {name!r} is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_dataset_feature_rejected(stopped_run, tmp_path, capsys, value):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    arrays, meta = data_mod.read_arrays(run / "dataset.bin")
+    features = arrays["features"].copy()
+    features[[5, 9], 3, 4] = value
+    data_mod.write_arrays([run / "dataset.bin"], {**arrays, "features": features}, meta)
+    before = _run_files(run)
+    message = "sample 5 has a feature that is not finite"
+    assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert main(["export", "--run", str(run)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    out = tmp_path / "noisy.bin"
+    assert main(["corrupt", "--input", str(run / "dataset.bin"), "--kind", "symmetric",
+                 "--eps", "0.5", "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert _run_files(run) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+@pytest.mark.parametrize("damage", ["empty", "9 bytes", "directory"])
+def test_unreadable_container_files_exit_1(stopped_run, tmp_path, capsys, damage):
+    """A file too short to map or to hold a header, or a directory, in
+    place of dataset.bin or last.ckpt."""
+    for name in ("dataset.bin", "checkpoints/last.ckpt"):
+        run = tmp_path / name.replace("/", "-")
+        shutil.copytree(stopped_run, run)
+        path = run / name
+        path.unlink()
+        if damage == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"NLDS\x02\x00\x00\x00\x00" if damage == "9 bytes" else b"")
+        expected = "Is a directory" if damage == "directory" else "truncated header"
+        assert main(["train", "--out-dir", str(run), "--resume"]) == EXIT_RUNTIME
+        assert expected in capsys.readouterr().err
+        assert main(["export", "--run", str(run), "--checkpoint", "last",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert expected in capsys.readouterr().err
+        if name == "dataset.bin":
+            assert main(["corrupt", "--input", str(path), "--kind", "symmetric",
+                         "--eps", "0.5", "--out", str(tmp_path / "o.bin")]) == EXIT_RUNTIME
+            assert expected in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o.bin").exists()
+
+
 def test_version_1_files_rejected(tmp_path, capsys):
     # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
     old_dataset = tmp_path / "old.bin"

@@ -305,6 +305,15 @@ class TestPersistence:
         with pytest.raises(CorruptHeaderError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        ds = generate_blobs(16, 2, (4, 4), 1.0, seed=0)
+        ds.features[[3, 11], 2, 1] = value
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        with pytest.raises(DatasetFileError, match="sample 3 has a feature that is not finite"):
+            load_dataset(path)
+
     def test_labels_csv(self, tmp_path):
         ds = generate_blobs(10, 2, 2, 1.0, seed=0)
         path = tmp_path / "labels.csv"
@@ -349,6 +358,34 @@ class TestArrayContainer:
             np.testing.assert_array_equal(out[name], arr)
             assert out[name].flags.writeable
         assert not (tmp_path / "a.bin.tmp").exists()
+
+    def test_writing_into_arrays_leaves_the_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_arrays([path], {"x": np.arange(6, dtype=np.float32), "y": np.ones((2, 2), np.int64)}, {"k": 1})
+        blob = path.read_bytes()
+        arrays, _ = read_arrays(path)
+        arrays["x"][:] = -7.0
+        arrays["y"] += 40
+        assert path.read_bytes() == blob
+        again, _ = read_arrays(path)
+        np.testing.assert_array_equal(again["x"], np.arange(6))
+        np.testing.assert_array_equal(again["y"], np.ones((2, 2)))
+        np.testing.assert_array_equal(arrays["x"], np.full(6, -7.0))
+
+    @pytest.mark.parametrize("content,error,message", [
+        (b"", CorruptHeaderError, "truncated header"),  # an empty file cannot be mapped
+        (b"NLDS\x02\x00\x00\x00\x00", CorruptHeaderError, "truncated header"),
+        (None, IsADirectoryError, "Is a directory"),
+    ], ids=["empty", "9-bytes", "directory"])
+    def test_short_file_or_directory_rejected(self, tmp_path, content, error, message):
+        path = tmp_path / "a.bin"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        for read in (read_arrays, load_dataset):
+            with pytest.raises(error, match=message):
+                read(path)
 
     def test_unsupported_dtype_not_written(self, tmp_path):
         with pytest.raises(DatasetFileError):

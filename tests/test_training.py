@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +330,27 @@ class NoDraws(np.random.Generator):
         raise AssertionError("drew an init")
 
 
+# Builds a stopped run's experiment from its files, cuts both files to 0
+# bytes in place, trains one more epoch and prints the parameters and
+# velocities. The checkpoint's arrays stay referenced throughout.
+TRAIN_AFTER_TRUNCATE = """
+import os, sys
+from pathlib import Path
+from noisylab import config
+from noisylab.data import load_dataset
+from noisylab.training import build_experiment, load_checkpoint, train_epoch
+run = Path(sys.argv[1])
+arrays, meta = load_checkpoint(run / "checkpoints" / "last.ckpt")
+exp = build_experiment(config.load(run / "config.txt"), load_dataset(run / "dataset.bin"), arrays)
+for name in ("checkpoints/last.ckpt", "dataset.bin"):
+    os.truncate(run / name, 0)
+train_epoch(exp, meta["epoch"])
+sys.stdout.buffer.write(exp.models.flat.tobytes())
+for v in exp.optimizer.velocities.values():
+    sys.stdout.buffer.write(v.tobytes())
+"""
+
+
 class TestCheckpointLoad:
     """build_experiment with a checkpoint's arrays, the one load path of
     resume and export."""
@@ -347,6 +369,23 @@ class TestCheckpointLoad:
         for name, p in exp.models.parameters().items():
             assert np.array_equal(p.data, donor.models.parameters()[name].data)
         assert any(not np.array_equal(p.data, state[name]) for name, p in exp.models.parameters().items())
+
+    def test_built_experiment_outlives_its_files(self, stopped_run, tmp_path):
+        """The readers copy what they keep out of the files' maps: once the
+        experiment is built, cutting both files to 0 bytes (a SIGBUS for
+        any later read of the maps) changes nothing in the next epoch."""
+        run = tmp_path / "run"
+        shutil.copytree(stopped_run, run)
+        env = {**os.environ, "PYTHONPATH": str(Path(config_mod.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", TRAIN_AFTER_TRUNCATE, str(run)], env=env,
+                               capture_output=True, timeout=120)
+        assert child.returncode == 0, child.stderr.decode()
+        assert (run / "dataset.bin").stat().st_size == (run / "checkpoints" / "last.ckpt").stat().st_size == 0
+        arrays, meta = load_checkpoint(stopped_run / "checkpoints" / "last.ckpt")
+        twin = build_experiment(tiny_config(), data_mod.load_dataset(stopped_run / "dataset.bin"), arrays)
+        train_epoch(twin, meta["epoch"])
+        assert child.stdout == b"".join([twin.models.flat.tobytes(),
+                                         *(v.tobytes() for v in twin.optimizer.velocities.values())])
 
     def test_resume_and_export_draw_no_init(self, stopped_run, tmp_path, monkeypatch):
         run = tmp_path / "run"
@@ -920,6 +959,22 @@ class TestRunExperiment:
             run_experiment({}, run, resume=True)
         assert path.read_bytes() == header + b"".join(rows)
         assert not (run / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", [b"nan", b"inf", b"1e999"], ids=["nan", "inf", "overflow"])
+    def test_resume_rejects_non_finite_last_metrics_row(self, tmp_path, value):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        path = run / "metrics.csv"
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        fields = rows[-1].split(b",")
+        fields[METRICS_COLUMNS.index("val_acc_clean")] = value
+        rows[-1] = b",".join(fields)
+        # a row past the checkpoint's epoch, which a resume would cut
+        path.write_bytes(header + b"".join(rows) + b"3" + rows[-1][1:])
+        before = {name: (run / name).read_bytes() for name in ("metrics.csv", "summary.json")}
+        with pytest.raises(CheckpointError, match="row 3 holds a number that is not finite"):
+            run_experiment({}, run, resume=True)
+        assert {name: (run / name).read_bytes() for name in before} == before
 
 
 class TestAblation:
