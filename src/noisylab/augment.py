@@ -8,19 +8,11 @@ seed. Image outputs stay in [0, 1]; flat vectors are left unclamped.
 Spatial ops (cutout, translate, horizontal-flip) require image-shaped input;
 flat vectors support gaussian-noise, brightness-shift and contrast-scale.
 
-Public API:
-
-- ``augment_batch(policy, batch, global_seed, epoch, sample_indices)``: a
-  fresh pipeline per row, seeded by (global seed, epoch, index); what
-  training calls.
-- ``derive_seed(global_seed, epoch, index)``: the 64-bit seed of a row's
-  pipeline.
-- ``sample_pipeline(policy, seed)``: that pipeline as ``AugmentOp`` records.
-- ``apply_op(op, x)``: one recorded op applied to one sample.
-
-The three helpers are one-row calls into the batched code, so replaying
-``apply_op`` over ``sample_pipeline(policy, derive_seed(g, e, i)).ops``
-gives row ``i`` of ``augment_batch`` byte for byte.
+``augment_batch(policy, batch, global_seed, epoch, sample_indices)`` is the
+one entry point: it draws a fresh pipeline for each row, seeded by (global
+seed, epoch, index), and applies it. A row's view depends only on its input
+and on (seed, epoch, index), never on the other rows, so a one-row batch
+replays one row of any batch byte for byte.
 
 Every random number is the one numpy's
 ``Generator(PCG64(SeedSequence(seed)))`` would draw, computed on arrays for
@@ -43,8 +35,6 @@ import numpy as np
 SPATIAL_OPS = ("cutout", "translate", "horizontal-flip")
 VALUE_OPS = ("gaussian-noise", "brightness-shift", "contrast-scale")
 ALL_OPS = ("cutout", "gaussian-noise", "brightness-shift", "contrast-scale", "translate", "horizontal-flip")
-# each op's one parameter, in ALL_OPS order
-_PARAMS = ("side_frac", "sigma", "delta", "scale", "max_frac", "prob")
 _CUTOUT, _NOISE, _BRIGHTNESS, _CONTRAST, _TRANSLATE, _FLIP = range(len(ALL_OPS))
 # the ops whose parameter the pipeline draws
 _DRAWS_SCALAR = np.isin(np.arange(len(ALL_OPS)), [_BRIGHTNESS, _CONTRAST])
@@ -67,27 +57,10 @@ class UnsupportedOpError(ValueError):
 
 
 @dataclass(frozen=True)
-class AugmentOp:
-    kind: str
-    params: dict
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in ALL_OPS:
-            raise ValueError(f"unknown augment op: {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class AugmentPipeline:
-    ops: tuple
-    magnitude: float
-
-
-@dataclass(frozen=True)
 class AugmentPolicy:
-    op_pool: tuple = ALL_OPS
-    num_ops: int = 2
-    magnitude: float = 0.5
+    op_pool: tuple
+    num_ops: int
+    magnitude: float
 
     def __post_init__(self):
         if not self.op_pool:
@@ -99,20 +72,6 @@ class AugmentPolicy:
             raise ValueError("num_ops must be >= 1")
         if not 0.0 <= self.magnitude <= 1.0:
             raise ValueError("magnitude must be in [0, 1]")
-
-
-def derive_seed(global_seed: int, epoch: int, index: int) -> int:
-    """Stable 64-bit seed of row ``index``'s pipeline at ``epoch``; the seed
-    and epoch are in [0, 2**32), the index in [0, 2**64)."""
-    return int(_seed_states((global_seed, epoch), [index], 1)[0, 0])
-
-
-def sample_pipeline(policy: AugmentPolicy, rng_seed: int) -> AugmentPipeline:
-    """Uniformly sample ``num_ops`` ops (with replacement) from the pool."""
-    kinds, seeds, scalars = _draw_pipelines(policy, _seed_states((), [rng_seed], 4))
-    ops = tuple(AugmentOp(kind=ALL_OPS[k], params={_PARAMS[k]: float(v)}, seed=int(s))
-                for k, s, v in zip(kinds[:, 0], seeds[:, 0], scalars[:, 0]))
-    return AugmentPipeline(ops=ops, magnitude=policy.magnitude)
 
 
 def _draw_pipelines(policy: AugmentPolicy, words: np.ndarray):
@@ -245,13 +204,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
             raise ValueError("only the precomputed uint64 words are available")
         # PCG64 reads the returned buffer directly
         return np.ascontiguousarray(self.words, dtype=np.uint64)
-
-
-def apply_op(op: AugmentOp, x: np.ndarray) -> np.ndarray:
-    """Apply one op to a single sample (copy; the input is never mutated)."""
-    kind = ALL_OPS.index(op.kind)
-    return _apply_pipelines(np.array([[kind]]), np.array([[op.seed]], dtype=np.int64),
-                            np.array([[op.params[_PARAMS[kind]]]], dtype=np.float64), x[None])[0]
 
 
 def _apply_pipelines(kinds, seeds, scalars, batch: np.ndarray) -> np.ndarray:

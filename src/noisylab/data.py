@@ -21,6 +21,7 @@ import json
 import math
 import mmap
 import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,6 +59,11 @@ class VersionMismatchError(DatasetFileError):
 
 class PayloadShapeError(DatasetFileError):
     pass
+
+
+class NotRegularFileError(DatasetFileError):
+    """A pipe, device or socket in place of a container file: only a
+    regular file can be mapped."""
 
 
 @dataclass
@@ -275,14 +281,17 @@ def replacing(path):
 def read_arrays(path):
     """Parse a file written by ``write_arrays``; returns ``(arrays, meta)``.
 
-    Only whitelisted dtypes are read, every length is checked against the
-    file, and the last array must end exactly at end of file. The arrays are
-    views into a private copy-on-write map of the file, not copies, so they
-    may be unaligned; writing into them never reaches the file. A caller
+    Only a regular file is read (a pipe cannot be mapped), only whitelisted
+    dtypes are read, every length is checked against the file, and the last
+    array must end exactly at end of file. The arrays are views into a
+    private copy-on-write map of the file, not copies, so they may be
+    unaligned; writing into them never reaches the file. A caller
     copies out what it keeps: once the file is cut short, reading a view of
     its lost pages raises SIGBUS.
     """
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise NotRegularFileError(f"{path}: not a regular file")
         try:
             blob = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
         except ValueError:  # an empty file cannot be mapped

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from noisylab import config as config_mod
-from noisylab.augment import AugmentOp, apply_op
+from noisylab.augment import ALL_OPS, _apply_pipelines
 from noisylab.autodiff import Tensor, grad_check
 from noisylab.data import NoiseSpec, empirical_transition_matrix, generate_blobs, inject_noise
 from noisylab.export import load_run_models
@@ -236,31 +236,44 @@ def test_criterion_3_noise_statistics():
 # 4. Information-theoretic invariants
 # ---------------------------------------------------------------------------
 
+def _cluster_parts(target, pred):
+    """The consistency, KL-to-uniform and conditional-entropy values the
+    training loss node computes, which must obey the same bounds."""
+    _, parts = cluster_loss(Tensor(target), Tensor(pred), lam=1.0)
+    return {name: part.item() for name, part in parts.items()}
+
+
 def test_criterion_4_information_invariants():
     rng = np.random.default_rng(2)
     k = 5
 
+    # each value from the single-term loss and from cluster_loss's parts
+    def cond_entropies(probs):
+        return conditional_entropy(Tensor(probs)).item(), _cluster_parts(probs, probs)["cond_entropy"]
+
+    def marginal_terms(probs):
+        return marginal_entropy_term(Tensor(probs)).item(), _cluster_parts(probs, probs)["kl_uniform"]
+
     onehot = _onehot(np.arange(4) % k, k)
     uniform = np.full((4, k), 1.0 / k)
-    cond_ok = (abs(conditional_entropy(Tensor(onehot)).item()) <= 1e-9
-               and abs(conditional_entropy(Tensor(uniform)).item() - math.log(k)) <= 1e-9)
+    cond_ok = (all(abs(v) <= 1e-9 for v in cond_entropies(onehot))
+               and all(abs(v - math.log(k)) <= 1e-9 for v in cond_entropies(uniform)))
     for _ in range(200):
         raw = rng.uniform(0.01, 1, (6, k))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        val = conditional_entropy(Tensor(probs)).item()
-        cond_ok = cond_ok and -1e-9 <= val <= math.log(k) + 1e-9
+        cond_ok = cond_ok and all(-1e-9 <= v <= math.log(k) + 1e-9 for v in cond_entropies(probs))
 
     balanced = _onehot(np.arange(k), k)
-    marg_ok = abs(marginal_entropy_term(Tensor(balanced)).item()) <= 1e-9
-    marg_ok = marg_ok and abs(marginal_entropy_term(Tensor(uniform)).item()) <= 1e-9
+    marg_ok = all(abs(v) <= 1e-9 for v in marginal_terms(balanced))
+    marg_ok = marg_ok and all(abs(v) <= 1e-9 for v in marginal_terms(uniform))
     for _ in range(200):
         raw = rng.uniform(0.01, 1, (6, k))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        val = marginal_entropy_term(Tensor(probs)).item()
-        marg_ok = marg_ok and val >= -1e-9
+        vals = marginal_terms(probs)
+        marg_ok = marg_ok and all(v >= -1e-9 for v in vals)
         marginal = probs.mean(axis=0)
         if np.abs(marginal - 1.0 / k).max() > 1e-3:
-            marg_ok = marg_ok and val > 1e-9  # nonuniform marginal -> strictly positive
+            marg_ok = marg_ok and all(v > 1e-9 for v in vals)  # nonuniform marginal -> strictly positive
 
     gibbs_ok = True
     for _ in range(1000):
@@ -268,9 +281,10 @@ def test_criterion_4_information_invariants():
         raw_p = rng.uniform(0.01, 1, (3, k))
         target = raw_t / raw_t.sum(axis=1, keepdims=True)
         pred = raw_p / raw_p.sum(axis=1, keepdims=True)
-        penalty = consistency_penalty(Tensor(target), Tensor(pred)).item()
+        penalties = (consistency_penalty(Tensor(target), Tensor(pred)).item(),
+                     _cluster_parts(target, pred)["consistency"])
         entropy = -np.mean(np.sum(target * np.log(target), axis=1))
-        gibbs_ok = gibbs_ok and penalty >= entropy - 1e-9
+        gibbs_ok = gibbs_ok and all(p >= entropy - 1e-9 for p in penalties)
     _report(4, "information-theoretic invariants", cond_ok and marg_ok and gibbs_ok,
             f"cond entropy: {cond_ok}, marginal term: {marg_ok}, Gibbs: {gibbs_ok}")
 
@@ -380,12 +394,11 @@ def test_criterion_9_restoration_learning(tmp_path):
     def recon_mse(checkpoint):
         exp, _ = load_run_models(run_dir, checkpoint)
         val = exp.dataset.features[exp.val_idx][:128]
-        masks = np.zeros_like(val, dtype=bool)
-        cut = np.empty_like(val)
-        for i in range(len(val)):
-            op = AugmentOp("cutout", {"side_frac": 0.5}, seed=1000 + i)
-            cut[i] = apply_op(op, val[i])
-            masks[i] = cut[i] != val[i]
+        # one cutout per image at side fraction 0.5, seeded 1000 + row
+        n = len(val)
+        cut = _apply_pipelines(np.full((1, n), ALL_OPS.index("cutout")), (1000 + np.arange(n))[None],
+                               np.full((1, n), 0.5), val)
+        masks = cut != val
         recon = exp.models.decoder(exp.models.backbone(Tensor(cut))).data
         full_mse = float(np.mean((recon - val) ** 2))
         masked_mse = float(np.mean((recon[masks] - val[masks]) ** 2))

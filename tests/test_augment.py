@@ -14,18 +14,18 @@ from noisylab.augment import (
     SPATIAL_OPS,
     TRANSLATE_FILL,
     VALUE_OPS,
-    AugmentOp,
-    AugmentPipeline,
     AugmentPolicy,
     UnsupportedOpError,
+    _apply_pipelines,
+    _draw_pipelines,
     _PCG64Rows,
     _seed_states,
     _Words,
-    apply_op,
     augment_batch,
-    derive_seed,
-    sample_pipeline,
 )
+
+# the config's default policy
+POLICY = AugmentPolicy(op_pool=ALL_OPS, num_ops=2, magnitude=0.5)
 
 
 def _image(seed=0, shape=(10, 10)):
@@ -33,19 +33,18 @@ def _image(seed=0, shape=(10, 10)):
     return rng.uniform(0.0, 1.0, size=shape).astype(np.float32)
 
 
-def _op(kind, params, seed=0):
-    return AugmentOp(kind=kind, params=params, seed=seed)
+def _one_op(kind, value, x, seed=0):
+    """One op with parameter ``value`` applied to one sample: a single op
+    slot of a one-row batch."""
+    return _apply_pipelines(np.array([[ALL_OPS.index(kind)]]), np.array([[seed]]), np.array([[value]]), x[None])[0]
 
 
-class TestSeedDerivation:
-    def test_stable(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-
-    def test_sensitive_to_each_part(self):
-        base = derive_seed(1, 2, 3)
-        assert derive_seed(9, 2, 3) != base
-        assert derive_seed(1, 9, 3) != base
-        assert derive_seed(1, 2, 9) != base
+def _pipelines(policy, seeds):
+    """Each seed's pipeline as drawn by ``_draw_pipelines``, one tuple of
+    ``(kind, op seed, parameter)`` per op."""
+    kinds, op_seeds, values = _draw_pipelines(policy, _seed_states((), seeds, 4))
+    return [tuple((ALL_OPS[k], int(s), float(v)) for k, s, v in zip(*row))
+            for row in zip(kinds.T, op_seeds.T, values.T)]
 
 
 # Heads (global seed, epoch) and row values around every word boundary
@@ -83,25 +82,25 @@ class TestSeedStates:
 
     @pytest.mark.parametrize("seed,epoch,index", [(2**32, 0, 0), (0, 2**32, 0), (-1, 0, 0), (0, 0, -1),
                                                   (0, 0, 2**64)])
-    def test_augment_batch_and_derive_seed_reject_out_of_range(self, seed, epoch, index):
+    def test_augment_batch_rejects_out_of_range(self, seed, epoch, index):
         with pytest.raises(ValueError):
-            augment_batch(AugmentPolicy(), np.zeros((2, 8, 8), np.float32), seed, epoch, [index, 0])
+            augment_batch(POLICY, np.zeros((2, 8, 8), np.float32), seed, epoch, [index, 0])
         with pytest.raises(ValueError):
-            derive_seed(seed, epoch, index)
+            _seed_states((seed, epoch), [index], 1)
 
-    def test_derive_seed_and_sample_pipeline_match_reference(self):
-        policy = AugmentPolicy(num_ops=3, magnitude=0.7)
+    def test_row_seeds_and_pipelines_match_reference(self):
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=3, magnitude=0.7)
+        seeds = []
         for parts in [(3, 0, 0), (2**32 - 1, 5, 2**32 + 1), (0, 2**32 - 1, 2**64 - 1)]:
-            seed = derive_seed(*parts)
-            assert seed == _oracle_derive_seed(*parts)
-            assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
-        for seed in _VALUES:
-            assert sample_pipeline(policy, seed) == _oracle_sample_pipeline(policy, seed)
+            seeds.append(int(_seed_states(parts[:2], parts[2:], 1)[0, 0]))
+            assert seeds[-1] == _oracle_derive_seed(*parts)
+        for row_seeds in [seeds + _VALUES] + [[seed] for seed in seeds + _VALUES]:
+            assert _pipelines(policy, row_seeds) == [_oracle_sample_pipeline(policy, s) for s in row_seeds]
         # a long pipeline, 30 ops of up to three draws each (half a kind
         # draw, the seed, the scalar), so each row steps its PCG64 ~75 times
         long_policy = AugmentPolicy(op_pool=("brightness-shift", "contrast-scale"), num_ops=30, magnitude=0.7)
-        for seed in (0, 7, 2**64 - 1):
-            assert sample_pipeline(long_policy, seed) == _oracle_sample_pipeline(long_policy, seed)
+        seeds = [0, 7, 2**64 - 1]
+        assert _pipelines(long_policy, seeds) == [_oracle_sample_pipeline(long_policy, s) for s in seeds]
 
 
 def _fixed_batch(shape, step):
@@ -117,7 +116,7 @@ class TestGoldenDigests:
     draws differently, shows here."""
 
     def test_image_batch(self):
-        out = augment_batch(AugmentPolicy(), _fixed_batch((64, 12, 12), 0.6180339887498949), 202, 3, np.arange(64))
+        out = augment_batch(POLICY, _fixed_batch((64, 12, 12), 0.6180339887498949), 202, 3, np.arange(64))
         assert hashlib.sha256(out.tobytes()).hexdigest() == \
             "2a4920ded3e8c339cb86305b9c1e0a42e1fd273c9bc405712dd31603352e6202"
 
@@ -132,27 +131,20 @@ class TestGoldenDigests:
 
 class TestSamplePipeline:
     def test_op_count_and_pool(self):
-        policy = AugmentPolicy(op_pool=("gaussian-noise", "brightness-shift"), num_ops=3)
-        pipe = sample_pipeline(policy, 42)
-        assert len(pipe.ops) == 3
-        assert all(op.kind in policy.op_pool for op in pipe.ops)
+        policy = AugmentPolicy(op_pool=("gaussian-noise", "brightness-shift"), num_ops=3, magnitude=0.5)
+        (pipe,) = _pipelines(policy, [42])
+        assert len(pipe) == 3
+        assert all(kind in policy.op_pool for kind, _, _ in pipe)
 
     def test_deterministic_per_seed(self):
-        policy = AugmentPolicy()
-        assert sample_pipeline(policy, 5) == sample_pipeline(policy, 5)
-        assert sample_pipeline(policy, 5) != sample_pipeline(policy, 6)
+        assert _pipelines(POLICY, [5]) == _pipelines(POLICY, [5])
+        assert _pipelines(POLICY, [5]) != _pipelines(POLICY, [6])
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AugmentPolicy(op_pool=())
-        with pytest.raises(ValueError):
-            AugmentPolicy(num_ops=0)
-        with pytest.raises(ValueError):
-            AugmentPolicy(magnitude=1.5)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentOp(kind="solarize", params={}, seed=0)
+        for op_pool, num_ops, magnitude in [((), 2, 0.5), (("solarize",), 2, 0.5), (ALL_OPS, 0, 0.5),
+                                            (ALL_OPS, 2, 1.5)]:
+            with pytest.raises(ValueError):
+                AugmentPolicy(op_pool=op_pool, num_ops=num_ops, magnitude=magnitude)
 
 
 class TestIdentityAtZeroMagnitude:
@@ -166,99 +158,103 @@ class TestIdentityAtZeroMagnitude:
 class TestOps:
     def test_cutout_fills_square(self):
         x = np.ones((8, 8), dtype=np.float32)
-        out = apply_op(_op("cutout", {"side_frac": 0.5}, seed=1), x)
+        out = _one_op("cutout", 0.5, x, seed=1)
         assert (out == CUTOUT_FILL).sum() == 16
         assert (out == 1.0).sum() == 48
 
     def test_gaussian_noise_changes_values(self):
         x = np.full((6, 6), 0.5, dtype=np.float32)
-        out = apply_op(_op("gaussian-noise", {"sigma": 0.1}, seed=1), x)
+        out = _one_op("gaussian-noise", 0.1, x, seed=1)
         assert not np.array_equal(out, x)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_gaussian_noise_on_flat_unclipped(self):
         x = np.zeros(5, dtype=np.float32)
-        out = apply_op(_op("gaussian-noise", {"sigma": 1.0}, seed=1), x)
+        out = _one_op("gaussian-noise", 1.0, x, seed=1)
         assert out.min() < 0.0 or out.max() > 1.0
 
     def test_brightness_clips_images(self):
         x = np.full((4, 4), 0.9, dtype=np.float32)
-        out = apply_op(_op("brightness-shift", {"delta": 0.3}, seed=0), x)
+        out = _one_op("brightness-shift", 0.3, x)
         np.testing.assert_allclose(out, 1.0)
 
     def test_contrast_center_images(self):
         x = np.full((4, 4), 0.5, dtype=np.float32)
-        out = apply_op(_op("contrast-scale", {"scale": 1.4}, seed=0), x)
+        out = _one_op("contrast-scale", 1.4, x)
         np.testing.assert_allclose(out, 0.5)  # fixed point of the scaling
 
     def test_contrast_center_flat(self):
         x = np.array([1.0, -1.0], dtype=np.float32)
-        out = apply_op(_op("contrast-scale", {"scale": 0.5}, seed=0), x)
+        out = _one_op("contrast-scale", 0.5, x)
         np.testing.assert_allclose(out, [0.5, -0.5])
 
     def test_translate_moves_content(self):
         x = np.zeros((8, 8), dtype=np.float32)
         x[0, 0] = 1.0
-        out = apply_op(_op("translate", {"max_frac": 0.3}, seed=2), x)
+        out = _one_op("translate", 0.3, x, seed=2)
         assert out.shape == x.shape
         assert out.sum() != x.sum() or np.argmax(out) != 0 or np.array_equal(out, x)
 
     def test_flip_prob_one_mirrors(self):
         x = _image(1, (6, 6))
-        out = apply_op(_op("horizontal-flip", {"prob": 1.0}, seed=0), x)
+        out = _one_op("horizontal-flip", 1.0, x)
         np.testing.assert_array_equal(out, x[:, ::-1])
 
     def test_flip_prob_zero_identity(self):
         x = _image(1, (6, 6))
-        out = apply_op(_op("horizontal-flip", {"prob": 0.0}, seed=0), x)
+        out = _one_op("horizontal-flip", 0.0, x)
         np.testing.assert_array_equal(out, x)
 
     @pytest.mark.parametrize("kind", ["cutout", "translate", "horizontal-flip"])
     def test_spatial_ops_reject_flat(self, kind):
         with pytest.raises(UnsupportedOpError):
-            apply_op(_op(kind, {"side_frac": 0.5, "max_frac": 0.3, "prob": 1.0}, 0),
-                     np.zeros(8, dtype=np.float32))
+            _one_op(kind, 0.5, np.zeros(8, dtype=np.float32))
 
     def test_input_never_mutated(self):
+        # every op in turn on one image, and a whole batch
         x = _image(4)
         snapshot = x.copy()
-        for kind, params in (("cutout", {"side_frac": 0.5}),
-                             ("gaussian-noise", {"sigma": 0.2}),
-                             ("horizontal-flip", {"prob": 1.0})):
-            apply_op(_op(kind, params, seed=3), x)
+        out = _apply_pipelines(np.arange(len(ALL_OPS))[:, None], np.full((len(ALL_OPS), 1), 3),
+                               np.array([[0.5], [0.2], [0.3], [1.4], [0.3], [1.0]]), x[None])
+        assert not np.array_equal(out[0], x)
+        batch = np.stack([_image(i) for i in range(8)])
+        before = batch.copy()
+        augment_batch(AugmentPolicy(op_pool=ALL_OPS, num_ops=3, magnitude=1.0), batch, 3, 0, np.arange(8))
         np.testing.assert_array_equal(x, snapshot)
+        np.testing.assert_array_equal(batch, before)
 
     def test_op_deterministic_given_seed(self):
         x = _image(5)
-        op = _op("cutout", {"side_frac": 0.4}, seed=11)
-        np.testing.assert_array_equal(apply_op(op, x), apply_op(op, x))
+        np.testing.assert_array_equal(_one_op("cutout", 0.4, x, seed=11), _one_op("cutout", 0.4, x, seed=11))
 
 
 class TestApplyAndBatch:
     def test_empty_batch_returns_copy(self):
         batch = np.zeros((0, 10, 10), dtype=np.float32)
-        out = augment_batch(AugmentPolicy(), batch, 0, 0, [])
+        out = augment_batch(POLICY, batch, 0, 0, [])
         assert out.shape == batch.shape and out.dtype == batch.dtype
         assert out is not batch
 
     def test_batch_deterministic(self):
-        policy = AugmentPolicy(magnitude=0.7)
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=2, magnitude=0.7)
         batch = np.stack([_image(i) for i in range(4)])
         idx = np.arange(4)
         a = augment_batch(policy, batch, global_seed=9, epoch=2, sample_indices=idx)
         b = augment_batch(policy, batch, global_seed=9, epoch=2, sample_indices=idx)
         np.testing.assert_array_equal(a, b)
 
-    def test_batch_varies_by_epoch_and_index(self):
-        policy = AugmentPolicy(magnitude=0.7)
+    def test_batch_varies_by_seed_epoch_and_index(self):
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=2, magnitude=0.7)
         batch = np.stack([_image(0)] * 2)
         a = augment_batch(policy, batch, 9, epoch=0, sample_indices=[0, 1])
         b = augment_batch(policy, batch, 9, epoch=1, sample_indices=[0, 1])
+        c = augment_batch(policy, batch, 8, epoch=0, sample_indices=[0, 1])
         assert not np.array_equal(a, b)
+        assert not np.array_equal(a[0], c[0]) and not np.array_equal(a[1], c[1])
         assert not np.array_equal(a[0], a[1])
 
     def test_batch_output_in_unit_interval(self):
-        policy = AugmentPolicy(magnitude=1.0)
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=2, magnitude=1.0)
         batch = np.stack([_image(i) for i in range(8)])
         out = augment_batch(policy, batch, 1, 0, np.arange(8))
         assert out.min() >= 0.0 and out.max() <= 1.0
@@ -269,10 +265,10 @@ class TestApplyAndBatch:
         holds per-kind row groups, not one epoch-sized array per slot."""
         batch = np.random.default_rng(0).uniform(0.0, 1.0, (1500, 12, 12)).astype(np.float32)
         idx = np.arange(len(batch))
-        augment_batch(AugmentPolicy(), batch, 3, 0, idx)  # warm the caches
+        augment_batch(POLICY, batch, 3, 0, idx)  # warm the caches
         tracemalloc.start()
         try:
-            augment_batch(AugmentPolicy(), batch, 3, 1, idx)
+            augment_batch(POLICY, batch, 3, 1, idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,60 +284,64 @@ def _oracle_derive_seed(*parts):
 
 
 def _oracle_sample_pipeline(policy, rng_seed):
+    """The per-sample pipeline draw that batched augmentation must reproduce
+    (kept here as the reference): one ``(kind, op seed, parameter)`` tuple
+    per op, the parameter being cutout's side fraction, the noise sigma,
+    the brightness delta, the contrast scale, translate's largest shift
+    fraction or the flip probability."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     m = policy.magnitude
     ops = []
     for slot in range(policy.num_ops):
         kind = policy.op_pool[int(rng.integers(0, len(policy.op_pool)))]
         op_seed = int(rng.integers(0, 2**63 - 1))
-        if kind == "cutout":
-            params = {"side_frac": m}
+        if kind in ("cutout", "horizontal-flip"):
+            value = m
         elif kind == "gaussian-noise":
-            params = {"sigma": m * MAX_NOISE_SIGMA}
+            value = m * MAX_NOISE_SIGMA
         elif kind == "brightness-shift":
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            params = {"delta": sign * m * MAX_BRIGHTNESS_DELTA}
+            value = sign * m * MAX_BRIGHTNESS_DELTA
         elif kind == "contrast-scale":
-            params = {"scale": 1.0 + m * MAX_CONTRAST_SWING * rng.uniform(-1.0, 1.0)}
-        elif kind == "translate":
-            params = {"max_frac": m * MAX_TRANSLATE_FRAC}
-        else:  # horizontal-flip
-            params = {"prob": m}
-        ops.append(AugmentOp(kind=kind, params=params, seed=op_seed))
-    return AugmentPipeline(ops=tuple(ops), magnitude=m)
+            value = 1.0 + m * MAX_CONTRAST_SWING * rng.uniform(-1.0, 1.0)
+        else:  # translate
+            value = m * MAX_TRANSLATE_FRAC
+        ops.append((kind, op_seed, value))
+    return tuple(ops)
 
 
 def _oracle_apply_op(op, x):
     """The per-sample op kernel that batched augmentation must reproduce
-    byte for byte (kept here as the reference)."""
+    byte for byte (kept here as the reference); ``op`` is a ``(kind, op
+    seed, parameter)`` tuple."""
+    kind, seed, value = op
     image_shaped = x.ndim == 2
-    if not image_shaped and op.kind in SPATIAL_OPS:
-        raise UnsupportedOpError(f"{op.kind} requires image-shaped input, got shape {x.shape}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(op.seed)))
+    if not image_shaped and kind in SPATIAL_OPS:
+        raise UnsupportedOpError(f"{kind} requires image-shaped input, got shape {x.shape}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = x.copy()
 
-    if op.kind == "cutout":
+    if kind == "cutout":
         h, w = x.shape
-        side_h = int(round(op.params["side_frac"] * h))
-        side_w = int(round(op.params["side_frac"] * w))
+        side_h = int(round(value * h))
+        side_w = int(round(value * w))
         if side_h and side_w:
             top = int(rng.integers(0, h - side_h + 1))
             left = int(rng.integers(0, w - side_w + 1))
             out[top : top + side_h, left : left + side_w] = CUTOUT_FILL
-    elif op.kind == "gaussian-noise":
-        sigma = op.params["sigma"]
-        if sigma > 0:
-            out = out + rng.normal(0.0, sigma, size=x.shape).astype(x.dtype)
-    elif op.kind == "brightness-shift":
-        out = out + np.asarray(op.params["delta"], dtype=x.dtype)
-    elif op.kind == "contrast-scale":
-        if op.params["scale"] != 1.0:
+    elif kind == "gaussian-noise":
+        if value > 0:
+            out = out + rng.normal(0.0, value, size=x.shape).astype(x.dtype)
+    elif kind == "brightness-shift":
+        out = out + np.asarray(value, dtype=x.dtype)
+    elif kind == "contrast-scale":
+        if value != 1.0:
             center = 0.5 if image_shaped else 0.0
-            out = center + np.asarray(op.params["scale"], dtype=x.dtype) * (out - center)
-    elif op.kind == "translate":
+            out = center + np.asarray(value, dtype=x.dtype) * (out - center)
+    elif kind == "translate":
         h, w = x.shape
-        limit_h = int(round(op.params["max_frac"] * h))
-        limit_w = int(round(op.params["max_frac"] * w))
+        limit_h = int(round(value * h))
+        limit_w = int(round(value * w))
         dy = int(rng.integers(-limit_h, limit_h + 1)) if limit_h else 0
         dx = int(rng.integers(-limit_w, limit_w + 1)) if limit_w else 0
         if dy or dx:
@@ -350,8 +350,8 @@ def _oracle_apply_op(op, x):
             xs, xd = _oracle_shift(w, dx)
             shifted[yd, xd] = x[ys, xs]
             out = shifted
-    elif op.kind == "horizontal-flip":
-        if rng.random() < op.params["prob"]:
+    elif kind == "horizontal-flip":
+        if rng.random() < value:
             out = out[:, ::-1].copy()
 
     if image_shaped:
@@ -369,7 +369,7 @@ def _oracle_augment_batch(policy, batch, global_seed, epoch, sample_indices):
     out = np.empty_like(batch)
     for row, idx in enumerate(sample_indices):
         x = batch[row]
-        for op in _oracle_sample_pipeline(policy, _oracle_derive_seed(global_seed, epoch, idx)).ops:
+        for op in _oracle_sample_pipeline(policy, _oracle_derive_seed(global_seed, epoch, idx)):
             x = _oracle_apply_op(op, x)
         out[row] = x
     return out
@@ -393,18 +393,19 @@ class TestBatchMatchesPerSample:
         policy = AugmentPolicy(op_pool=pool, num_ops=num_ops, magnitude=magnitude)
         idx = np.arange(100, 160)
         batch = _edge_batch((len(idx),) + shape, dtype)
-        drawn = {op.kind for i in idx for op in _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, i)).ops}
+        drawn = {kind for i in idx for kind, _, _ in _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, i))}
         assert drawn == set(pool)
         out = augment_batch(policy, batch, 4, 1, idx)
         expect = _oracle_augment_batch(policy, batch, 4, 1, idx)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()
         for row in (0, 17):
-            op = _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, idx[row])).ops[0]
-            assert apply_op(op, batch[row]).tobytes() == _oracle_apply_op(op, batch[row]).tobytes()
+            op = _oracle_sample_pipeline(policy, _oracle_derive_seed(4, 1, idx[row]))[0]
+            kind, seed, value = op
+            assert _one_op(kind, value, batch[row], seed).tobytes() == _oracle_apply_op(op, batch[row]).tobytes()
 
     def test_row_permutation_permutes_output(self):
-        policy = AugmentPolicy(magnitude=0.8, num_ops=3)
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=3, magnitude=0.8)
         idx = np.arange(40)
         batch = _edge_batch((40, 8, 8), np.float32)
         perm = np.random.default_rng(1).permutation(40)
@@ -421,7 +422,7 @@ class TestBatchMatchesPerSample:
     def test_mixed_word_layouts(self):
         # indices of one and two words give rows of different entropy
         # layouts in one batch, under the largest seed and epoch
-        policy = AugmentPolicy(num_ops=3, magnitude=0.8)
+        policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=3, magnitude=0.8)
         idx = np.array([0, 2**32 + 1, 9, 2**32 + 1, 2**40, 2**64 - 1], dtype=np.uint64)
         batch = _edge_batch((len(idx), 8, 8), np.float32)
         out = augment_batch(policy, batch, 2**32 - 1, 2**32 - 1, idx)
@@ -439,11 +440,10 @@ class TestBatchMatchesPerSample:
             return seed_sequence(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        policy = AugmentPolicy(magnitude=0.5, num_ops=2)
         built = []
         for rows in (8, 64):
             made.clear()
-            augment_batch(policy, _edge_batch((rows, 12, 12), np.float32), 3, 1, np.arange(rows))
+            augment_batch(POLICY, _edge_batch((rows, 12, 12), np.float32), 3, 1, np.arange(rows))
             built.append(len(made))
         assert built[0] == built[1], f"SeedSequence objects per batch of 8 and 64 rows: {built}"
 
@@ -457,7 +457,7 @@ class TestBatchMatchesPerSample:
 
         monkeypatch.setattr(np.random, "PCG64", counting)
         pool = tuple(k for k in ALL_OPS if k != "gaussian-noise")
-        policy = AugmentPolicy(op_pool=pool, magnitude=0.5, num_ops=3)
+        policy = AugmentPolicy(op_pool=pool, num_ops=3, magnitude=0.5)
         built = []
         for rows in (8, 64):
             made.clear()

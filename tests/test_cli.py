@@ -379,6 +379,26 @@ def test_unreadable_container_files_exit_1(stopped_run, tmp_path, capsys, damage
     assert not (tmp_path / "out").exists() and not (tmp_path / "o.bin").exists()
 
 
+def test_dataset_read_from_a_pipe_exits_1(tmp_path, capsys):
+    """A pipe cannot be mapped: the error names the path and the cause."""
+    dataset = tmp_path / "ds.bin"
+    assert main(["generate", "--samples", "40", "--image", "8x8", "--seed", "1", "--out", str(dataset)]) == EXIT_OK
+    capsys.readouterr()
+    blob = dataset.read_bytes()
+    assert len(blob) < 16384  # written whole into the pipe's buffer, no reader needed
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, blob)
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        assert main(["corrupt", "--input", path, "--kind", "symmetric", "--eps", "0.5",
+                     "--out", str(tmp_path / "o.bin")]) == EXIT_RUNTIME
+    finally:
+        os.close(read_end)
+    assert f"error: {path}: not a regular file" in capsys.readouterr().err
+    assert not (tmp_path / "o.bin").exists()
+
+
 def test_version_1_files_rejected(tmp_path, capsys):
     # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
     old_dataset = tmp_path / "old.bin"
