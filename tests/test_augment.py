@@ -47,6 +47,22 @@ def _pipelines(policy, seeds):
             for row in zip(kinds.T, op_seeds.T, values.T)]
 
 
+def _row_seed(seed, epoch, index):
+    """The seed of the pipeline that ``augment_batch`` draws for one row."""
+    return int(_seed_states((seed, epoch), [index], 1)[0, 0])
+
+
+class TestSeedDerivation:
+    def test_stable(self):
+        assert _row_seed(1, 2, 3) == _row_seed(1, 2, 3)
+
+    def test_sensitive_to_each_part(self):
+        base = _row_seed(1, 2, 3)
+        assert _row_seed(9, 2, 3) != base
+        assert _row_seed(1, 9, 3) != base
+        assert _row_seed(1, 2, 9) != base
+
+
 # Heads (global seed, epoch) and row values around every word boundary
 # numpy's SeedSequence splits at, inside the accepted ranges.
 _HEADS = [(), (0,), (2**32 - 1,), (7, 0), (2**32 - 1, 2**31)]
@@ -92,7 +108,7 @@ class TestSeedStates:
         policy = AugmentPolicy(op_pool=ALL_OPS, num_ops=3, magnitude=0.7)
         seeds = []
         for parts in [(3, 0, 0), (2**32 - 1, 5, 2**32 + 1), (0, 2**32 - 1, 2**64 - 1)]:
-            seeds.append(int(_seed_states(parts[:2], parts[2:], 1)[0, 0]))
+            seeds.append(_row_seed(*parts))
             assert seeds[-1] == _oracle_derive_seed(*parts)
         for row_seeds in [seeds + _VALUES] + [[seed] for seed in seeds + _VALUES]:
             assert _pipelines(policy, row_seeds) == [_oracle_sample_pipeline(policy, s) for s in row_seeds]
@@ -141,10 +157,13 @@ class TestSamplePipeline:
         assert _pipelines(POLICY, [5]) != _pipelines(POLICY, [6])
 
     def test_policy_validation(self):
-        for op_pool, num_ops, magnitude in [((), 2, 0.5), (("solarize",), 2, 0.5), (ALL_OPS, 0, 0.5),
-                                            (ALL_OPS, 2, 1.5)]:
+        for op_pool, num_ops, magnitude in [((), 2, 0.5), (ALL_OPS, 0, 0.5), (ALL_OPS, 2, 1.5)]:
             with pytest.raises(ValueError):
                 AugmentPolicy(op_pool=op_pool, num_ops=num_ops, magnitude=magnitude)
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown augment op: 'solarize'"):
+            AugmentPolicy(op_pool=("brightness-shift", "solarize"), num_ops=2, magnitude=0.5)
 
 
 class TestIdentityAtZeroMagnitude:
