@@ -15,20 +15,20 @@ A leaf's gradient is its ``grad``: the first backward that reaches it sets
 it, and a later one adds to it. Nothing here zeroes a gradient: the
 optimizer's step sets each ``grad`` to None once it has used it.
 
-The operator catalog is exactly what the small models and losses need:
-matmul, broadcasting add/mul, neg, sigmoid, square, a log clamped to
-probabilities, sum, softmax/log-softmax, reshape, transpose and max
-pooling, plus fused nodes. Subtraction and mean are compositions of these
-ops, not nodes of their own: ``a - b`` is ``a + (-b)`` and a mean is the
-sum times ``1 / n``. The spatial operators take channels-last (N, H, W, C)
-activations and only the shapes the models use; any other shape raises
-ShapeError: a conv2d has stride 1, a square k x k kernel and padding below
-k; a conv_transpose2d upsamples by its square kernel (stride k, no
-padding, no overlap); max pooling is non-overlapping. Each direction of a
-convolution is one matrix product over the whole batch (see the spatial
-operators). Max pooling, when it records the graph, keeps each window's
-first-max slot in one byte, and its backward scatters the gradient once.
-No GPU, no broadcasting beyond bias-style shapes.
+The operator catalog is exactly what the two models and the training loop
+run: broadcasting add, sigmoid, softmax/log-softmax, reshape, transpose and
+max pooling, plus fused nodes. ``matmul`` stays although no layer calls
+it, because the benchmark's tracer wraps it by name. The single ops the
+fused losses replay live with the tests, in ``tests/chains.py``. The
+spatial operators take channels-last (N, H, W, C) activations and only the
+shapes the models use; any other shape raises ShapeError: a conv2d has
+stride 1, a square k x k kernel and padding below k; a conv_transpose2d
+upsamples by its square kernel (stride k, no padding, no overlap); max
+pooling is non-overlapping. Each direction of a convolution is one matrix
+product over the whole batch (see the spatial operators). Max pooling, when
+it records the graph, keeps each window's first-max slot in one byte, and
+its backward scatters the gradient once. No GPU, no broadcasting beyond
+bias-style shapes.
 
 A fused node runs the same numpy operations, in the same order and dtype,
 as the chain of single ops it stands for, so its outputs and gradients are
@@ -40,7 +40,7 @@ three training losses, one node per loss, built in ``losses`` with
 needs no gradient gets none computed.
 
 Default dtype is float32; pass float64 arrays for wide-precision work
-(gradient checking needs it).
+(the tests' gradient check needs it).
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def detach(self):
-        """Same values, cut off from the graph (no gradient flows through)."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
@@ -208,34 +204,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g, a=self):
-            return ((a, -g),)
-
-        return Tensor._result(-self.data, (self,), backward, "neg")
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        try:
-            data = self.data * other.data
-        except ValueError as exc:
-            raise ShapeError(f"multiply: incompatible shapes {self.shape} and {other.shape}") from exc
-
-        def backward(g, a=self, b=other):
-            grads = []
-            if a.requires_grad:
-                grads.append((a, _unbroadcast(g * b.data, a.shape)))
-            if b.requires_grad:
-                grads.append((b, _unbroadcast(g * a.data, b.shape)))
-            return grads
-
-        return Tensor._result(data, (self, other), backward, "multiply")
-
-    __rmul__ = __mul__
-
     def matmul(self, other):
         other = self._coerce(other)
         _check_matmul("matmul", self, other)
@@ -264,36 +232,6 @@ class Tensor:
             return ((a, g * y * (1.0 - y)),)
 
         return Tensor._result(y, (self,), backward, "sigmoid")
-
-    def clamped_log(self):
-        """log of the values clipped to [PROB_EPS, 1]; the gradient passes
-        only where a value lies inside that range."""
-        mask = (self.data >= PROB_EPS) & (self.data <= 1.0)
-        clipped = np.clip(self.data, PROB_EPS, 1.0)
-
-        def backward(g, a=self, clipped=clipped, m=mask):
-            return ((a, (g / clipped) * m),)
-
-        return Tensor._result(np.log(clipped), (self,), backward, "clamped_log")
-
-    def square(self):
-        def backward(g, a=self):
-            return ((a, g * 2.0 * a.data),)
-
-        return Tensor._result(self.data * self.data, (self,), backward, "square")
-
-    # -- reductions --------------------------------------------------------
-    def sum(self, axis=None, keepdims=False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            return ((a, _unreduce(g, a, axis, keepdims)),)
-
-        return Tensor._result(data, (self,), backward, "sum")
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- shape -------------------------------------------------------------
     def reshape(self, *shape):
@@ -652,37 +590,3 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
 
     return Tensor._result(out, (x,), backward, "max_pool2d")
 
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(f, point: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a Tensor to a scalar Tensor. The point should be float64;
-    the returned error is max over coordinates of
-    |analytic - numeric| / max(1, |numeric|). NaN on either side counts as
-    infinite error.
-    """
-    p = Tensor(point.data.astype(np.float64), requires_grad=True)
-    out = f(p)
-    out.backward()
-    analytic = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
-
-    flat = p.data.reshape(-1)
-    numeric = np.empty_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(Tensor(p.data.copy())).item()
-        flat[i] = orig - step
-        lo = f(Tensor(p.data.copy())).item()
-        flat[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * step)
-    numeric = numeric.reshape(p.data.shape)
-
-    if np.any(np.isnan(analytic)) or np.any(np.isnan(numeric)):
-        return float("inf")
-    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-    return float(err.max()) if err.size else 0.0

@@ -17,6 +17,7 @@ named little-endian arrays plus a JSON metadata block (``write_arrays`` and
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import mmap
@@ -62,8 +63,8 @@ class PayloadShapeError(DatasetFileError):
 
 
 class NotRegularFileError(DatasetFileError):
-    """A pipe, device or socket in place of a container file: only a
-    regular file can be mapped."""
+    """A pipe, device or socket in place of a run file: only a regular file
+    can be mapped, and opening a FIFO that no process writes blocks."""
 
 
 @dataclass
@@ -278,6 +279,19 @@ def replacing(path):
         raise
 
 
+def open_regular(path):
+    """``path`` opened for binary reading; NotRegularFileError unless it is
+    a regular file. The open does not block, so a FIFO with no writer fails
+    at once instead of hanging; a directory raises IsADirectoryError."""
+    # io.open, not this module's open, which tests replace with a
+    # two-argument fake to fail the CSV writes
+    fh = io.open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise NotRegularFileError(f"{path}: not a regular file")
+    return fh
+
+
 def read_arrays(path):
     """Parse a file written by ``write_arrays``; returns ``(arrays, meta)``.
 
@@ -289,9 +303,7 @@ def read_arrays(path):
     copies out what it keeps: once the file is cut short, reading a view of
     its lost pages raises SIGBUS.
     """
-    with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise NotRegularFileError(f"{path}: not a regular file")
+    with open_regular(path) as fh:
         try:
             blob = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
         except ValueError:  # an empty file cannot be mapped

@@ -17,13 +17,14 @@ Each training loss (``bootstrap_loss``, ``reconstruction_loss`` and
 operations of the chain of single ops it stands for, in the chain's order
 and dtypes, 0-d constants such as ``np.asarray(1 / n, dtype)`` included;
 its backward replays the chain's gradient arithmetic. So values and
-gradients are bit for bit the chain's; ``tests/test_losses.py`` keeps the
-chains as the reference. In ``cluster_loss`` the clean view's gradient is
-summed as ((consistency target term, when the target is not detached) +
-KL-marginal term) + entropy product term + entropy log term, the order the
-chain's backward adds them in; any other order rounds differently. An
-operand that needs no gradient gets none computed. ``task_loss`` and the
-three cluster part functions remain chains of single ops.
+gradients are bit for bit the chain's; ``tests/chains.py`` keeps the chains,
+and the single ops and part functions they are built from, as the
+reference, and ``tests/test_losses.py`` compares each node with its chain.
+In ``cluster_loss`` the clean view's gradient is summed as ((consistency
+target term, when the target is not detached) + KL-marginal term) + entropy
+product term + entropy log term, the order the chain's backward adds them
+in; any other order rounds differently. An operand that needs no gradient
+gets none computed.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ def _unclamped(p):
     return (p >= PROB_EPS) & (p <= 1.0)
 
 
-def task_loss(pred_probs: Tensor, labels_onehot) -> Tensor:
-    """Mean cross-entropy of predicted probabilities against one-hot labels."""
-    _check_rows_normalized(pred_probs.data, "task_loss predictions")
-    onehot = labels_onehot.data if isinstance(labels_onehot, Tensor) else np.asarray(labels_onehot)
-    if onehot.shape != pred_probs.shape:
-        raise LossInputError(
-            f"task_loss: labels shape {onehot.shape} vs predictions {pred_probs.shape}"
-        )
-    per_sample = -(Tensor(onehot) * pred_probs.clamped_log()).sum(axis=-1)
-    return per_sample.mean()
-
-
 def reconstruction_loss(x_hat: Tensor, x) -> Tensor:
     """Mean over all elements of the squared reconstruction error, as one
     node: ``(x_hat - x).square().mean()``."""
@@ -89,46 +78,11 @@ def reconstruction_loss(x_hat: Tensor, x) -> Tensor:
     return Tensor._result(sq.sum() * scale, (x_hat, target), backward, "reconstruction_loss")
 
 
-def conditional_entropy(cluster_probs: Tensor) -> Tensor:
-    """Batch mean of per-row entropy; in [0, ln K]."""
-    _check_rows_normalized(cluster_probs.data, "conditional_entropy")
-    per_row = -(cluster_probs * cluster_probs.clamped_log()).sum(axis=-1)
-    return per_row.mean()
-
-
-def marginal_entropy_term(cluster_probs_batch: Tensor) -> Tensor:
-    """KL divergence of the batch-mean cluster distribution from uniform.
-
-    Nonnegative; zero exactly when the batch marginal is uniform. Minimizing
-    it keeps clusters balanced (maximal marginal entropy).
-    """
-    _check_rows_normalized(cluster_probs_batch.data, "marginal_entropy_term")
-    k = cluster_probs_batch.shape[-1]
-    marginal = cluster_probs_batch.mean(axis=0)
-    return (marginal * (marginal.clamped_log() + math.log(k))).sum()
-
-
-def consistency_penalty(clean_cluster_probs: Tensor, aug_cluster_probs: Tensor, block_target_grad: bool = True) -> Tensor:
-    """Cross-entropy pushing the augmented view toward the clean view.
-
-    The clean view acts as a fixed target by default (no gradient through
-    it). By Gibbs' inequality the value is at least the clean row entropy.
-    """
-    if clean_cluster_probs.shape != aug_cluster_probs.shape:
-        raise LossInputError(
-            f"consistency_penalty: shapes differ, {clean_cluster_probs.shape} vs {aug_cluster_probs.shape}"
-        )
-    _check_rows_normalized(clean_cluster_probs.data, "consistency_penalty target")
-    _check_rows_normalized(aug_cluster_probs.data, "consistency_penalty prediction")
-    target = clean_cluster_probs.detach() if block_target_grad else clean_cluster_probs
-    per_row = -(target * aug_cluster_probs.clamped_log()).sum(axis=-1)
-    return per_row.mean()
-
-
 def cluster_loss(clean_probs: Tensor, aug_probs: Tensor, lam: float, block_target_grad: bool = True):
     """Consistency + lam * (KL-to-uniform of the marginal + assignment entropy),
-    as one node: ``consistency_penalty + lam * marginal_entropy_term + lam *
-    conditional_entropy``.
+    as one node: the chain ``consistency_penalty + lam *
+    marginal_entropy_term + lam * conditional_entropy`` of
+    ``tests/chains.py``.
 
     Returns ``(total, parts)`` where parts holds the three components as
     Tensors under keys consistency / kl_uniform / cond_entropy; they hold

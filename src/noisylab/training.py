@@ -31,6 +31,7 @@ from .data import (
     generate_blobs,
     inject_noise,
     load_dataset,
+    open_regular,
     read_arrays,
     replacing,
     save_dataset,
@@ -552,12 +553,13 @@ def _trim_metrics(path, epochs: int) -> MetricsRecord | None:
     the last kept row, or None when ``epochs`` is 0. Each kept row must hold
     ``len(METRICS_COLUMNS)`` fields: its epoch, counting from 0, then
     numbers, which in the last kept row must be finite. A row that does not
-    raises CheckpointError and changes nothing.
+    raises CheckpointError, and a file that is not regular
+    NotRegularFileError; either changes nothing.
 
     A crash after an epoch's row was appended but before its checkpoint was
     saved leaves extra rows; only then is the file cut.
     """
-    with open(path, "rb") as fh:
+    with open_regular(path) as fh:
         lines = fh.readlines()
     if len(lines) < epochs + 1:
         raise CheckpointError(f"{path}: {len(lines) - 1} rows for {epochs} finished epochs")

@@ -12,19 +12,10 @@ import pytest
 
 from noisylab import config as config_mod
 from noisylab.augment import ALL_OPS, _apply_pipelines
-from noisylab.autodiff import Tensor, grad_check
+from noisylab.autodiff import Tensor
 from noisylab.data import NoiseSpec, empirical_transition_matrix, generate_blobs, inject_noise
 from noisylab.export import load_run_models
-from noisylab.losses import (
-    bootstrap_loss,
-    cluster_loss,
-    conditional_entropy,
-    consistency_penalty,
-    marginal_entropy_term,
-    reconstruction_loss,
-    task_loss,
-    total_loss,
-)
+from noisylab.losses import bootstrap_loss, cluster_loss, reconstruction_loss, total_loss
 from noisylab.training import (
     ABLATION_ROWS,
     ablation_row_config,
@@ -34,6 +25,8 @@ from noisylab.training import (
     run_experiment,
     train_epoch,
 )
+
+from chains import conditional_entropy, consistency_penalty, grad_check, marginal_entropy_term, task_loss
 
 DESK_SEEDS = (2, 5, 6)
 

@@ -399,6 +399,40 @@ def test_dataset_read_from_a_pipe_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o.bin").exists()
 
 
+def _main_in_child(argv):
+    """``noisylab argv`` in a child process: a command that hangs is killed
+    at the timeout, which fails the test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noisylab.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "noisylab.cli", *argv], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_dataset_fifo_exits_1(tmp_path):
+    """Opening a FIFO that no process writes blocks, unless it does not
+    wait: corrupt fails at once."""
+    fifo = tmp_path / "ds.bin"
+    os.mkfifo(fifo)
+    result = _main_in_child(["corrupt", "--input", str(fifo), "--kind", "symmetric", "--eps", "0.5",
+                             "--out", str(tmp_path / "o.bin")])
+    assert result.returncode == EXIT_RUNTIME
+    assert f"error: {fifo}: not a regular file" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.bin"]
+
+
+@pytest.mark.parametrize("name", ["dataset.bin", "checkpoints/last.ckpt", "metrics.csv"],
+                         ids=["dataset.bin", "last.ckpt", "metrics.csv"])
+def test_run_file_fifo_exits_1(stopped_run, tmp_path, name):
+    run = tmp_path / "run"
+    shutil.copytree(stopped_run, run)
+    (run / name).unlink()
+    os.mkfifo(run / name)
+    before = _run_files(run)
+    result = _main_in_child(["train", "--out-dir", str(run), "--resume"])
+    assert result.returncode == EXIT_RUNTIME
+    assert f"error: {run / name}: not a regular file" in result.stderr
+    assert _run_files(run) == before
+
+
 def test_version_1_files_rejected(tmp_path, capsys):
     # version-1 dataset: magic, u16 version, classes, samples, ndim, dims, payload
     old_dataset = tmp_path / "old.bin"

@@ -7,18 +7,19 @@ import pytest
 from noisylab import config as config_mod
 from noisylab import training
 from noisylab.autodiff import Tensor
-from noisylab.losses import (
-    LossInputError,
-    bootstrap_loss,
-    cluster_loss,
+from noisylab.losses import LossInputError, bootstrap_loss, cluster_loss, reconstruction_loss, total_loss
+from noisylab.training import LOSS_COLUMNS, ablation_row_config, build_experiment, train_epoch
+
+from chains import (
+    chain_bootstrap_loss,
+    chain_cluster_loss,
+    chain_reconstruction_loss,
     conditional_entropy,
     consistency_penalty,
     marginal_entropy_term,
-    reconstruction_loss,
+    mul,
     task_loss,
-    total_loss,
 )
-from noisylab.training import LOSS_COLUMNS, ablation_row_config, build_experiment, train_epoch
 
 
 def _probs(rows, k, seed=0):
@@ -70,52 +71,64 @@ class TestReconstructionLoss:
             reconstruction_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
 
 
+# Each property holds for the single-term chain and for the matching part of
+# the cluster_loss node that training runs, on the same inputs; the
+# clean-view parts read the probabilities as both views.
+COND_ENTROPY = (conditional_entropy, lambda p: cluster_loss(p, p, lam=1.0)[1]["cond_entropy"])
+KL_UNIFORM = (marginal_entropy_term, lambda p: cluster_loss(p, p, lam=1.0)[1]["kl_uniform"])
+CONSISTENCY = (consistency_penalty, lambda c, a: cluster_loss(c, a, lam=1.0)[1]["consistency"])
+
+
 class TestEntropyTerms:
     def test_conditional_entropy_bounds(self):
         k = 5
         onehot = _onehot(np.array([0, 1, 2]), k)
-        assert conditional_entropy(Tensor(onehot)).item() == pytest.approx(0.0, abs=1e-9)
         uniform = np.full((3, k), 1.0 / k)
-        assert conditional_entropy(Tensor(uniform)).item() == pytest.approx(math.log(k), abs=1e-9)
-        for seed in range(10):
-            val = conditional_entropy(Tensor(_probs(6, k, seed))).item()
-            assert 0.0 <= val <= math.log(k) + 1e-9
+        for cond_entropy in COND_ENTROPY:
+            assert cond_entropy(Tensor(onehot)).item() == pytest.approx(0.0, abs=1e-9)
+            assert cond_entropy(Tensor(uniform)).item() == pytest.approx(math.log(k), abs=1e-9)
+            for seed in range(10):
+                val = cond_entropy(Tensor(_probs(6, k, seed))).item()
+                assert 0.0 <= val <= math.log(k) + 1e-9
 
     def test_marginal_term_zero_iff_uniform_marginal(self):
         # one-hot rows covering every class: marginal is exactly uniform
         onehot = _onehot(np.array([0, 1, 2, 3]), 4)
-        assert marginal_entropy_term(Tensor(onehot)).item() == pytest.approx(0.0, abs=1e-9)
         skewed = _onehot(np.array([0, 0, 0, 1]), 4)
-        assert marginal_entropy_term(Tensor(skewed)).item() > 1e-3
+        for kl_uniform in KL_UNIFORM:
+            assert kl_uniform(Tensor(onehot)).item() == pytest.approx(0.0, abs=1e-9)
+            assert kl_uniform(Tensor(skewed)).item() > 1e-3
 
     def test_marginal_term_nonnegative(self):
-        for seed in range(20):
-            val = marginal_entropy_term(Tensor(_probs(8, 4, seed))).item()
-            assert val >= -1e-12
+        for kl_uniform in KL_UNIFORM:
+            for seed in range(20):
+                val = kl_uniform(Tensor(_probs(8, 4, seed))).item()
+                assert val >= -1e-12
 
     def test_marginal_term_matches_kl_oracle(self):
         probs = _probs(16, 5, seed=3)
         marginal = probs.mean(axis=0)
         want = np.sum(marginal * np.log(marginal * 5))
-        got = marginal_entropy_term(Tensor(probs)).item()
-        assert got == pytest.approx(want, rel=1e-9)
+        for kl_uniform in KL_UNIFORM:
+            assert kl_uniform(Tensor(probs)).item() == pytest.approx(want, rel=1e-9)
 
 
 class TestConsistencyPenalty:
     def test_gibbs_inequality(self):
         # cross-entropy >= target entropy, equality iff distributions match
-        for seed in range(50):
-            target = _probs(4, 3, seed)
-            pred = _probs(4, 3, seed + 1000)
-            penalty = consistency_penalty(Tensor(target), Tensor(pred)).item()
-            entropy = -np.mean(np.sum(target * np.log(target), axis=1))
-            assert penalty >= entropy - 1e-9
+        for consistency in CONSISTENCY:
+            for seed in range(50):
+                target = _probs(4, 3, seed)
+                pred = _probs(4, 3, seed + 1000)
+                penalty = consistency(Tensor(target), Tensor(pred)).item()
+                entropy = -np.mean(np.sum(target * np.log(target), axis=1))
+                assert penalty >= entropy - 1e-9
 
     def test_equality_at_identical_views(self):
         probs = _probs(4, 3, 7)
-        penalty = consistency_penalty(Tensor(probs), Tensor(probs)).item()
         entropy = -np.mean(np.sum(probs * np.log(probs), axis=1))
-        assert penalty == pytest.approx(entropy, rel=1e-9)
+        for consistency in CONSISTENCY:
+            assert consistency(Tensor(probs), Tensor(probs)).item() == pytest.approx(entropy, rel=1e-9)
 
     def test_target_gradient_blocked_by_default(self):
         target = Tensor(_probs(4, 3), requires_grad=True)
@@ -245,36 +258,10 @@ class TestTotalLoss:
 
 # ---------------------------------------------------------------------------
 # Each training loss is one autodiff node that replays a chain of single
-# ops. The chains are kept here as the reference: every value, part and
-# gradient of a node must equal theirs byte for byte. The pins hold on
+# ops. The chains are kept in chains.py as the reference: every value, part
+# and gradient of a node must equal theirs byte for byte. The pins hold on
 # every numpy the CI runs, whose scalar type promotion differs.
 # ---------------------------------------------------------------------------
-
-def chain_bootstrap_loss(log_pred, noisy_onehot, alpha):
-    onehot = noisy_onehot.data if isinstance(noisy_onehot, Tensor) else np.asarray(noisy_onehot)
-    noisy_ce = -(Tensor(onehot) * log_pred).sum(axis=-1).mean()
-    if alpha == 1.0:
-        return noisy_ce
-    pseudo = np.zeros_like(onehot)
-    pseudo[np.arange(len(pseudo)), log_pred.data.argmax(axis=-1)] = 1.0
-    self_ce = -(Tensor(pseudo) * log_pred).sum(axis=-1).mean()
-    if alpha == 0.0:
-        return self_ce
-    return alpha * noisy_ce + (1.0 - alpha) * self_ce
-
-
-def chain_reconstruction_loss(x_hat, x):
-    target = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=x_hat.dtype))
-    return (x_hat - target).square().mean()
-
-
-def chain_cluster_loss(clean_probs, aug_probs, lam, block_target_grad=True):
-    consistency = consistency_penalty(clean_probs, aug_probs, block_target_grad)
-    kl_uniform = marginal_entropy_term(clean_probs)
-    cond_ent = conditional_entropy(clean_probs)
-    total = consistency + lam * kl_uniform + lam * cond_ent
-    return total, {"consistency": consistency, "kl_uniform": kl_uniform, "cond_entropy": cond_ent}
-
 
 def _assert_same_bytes(got, want):
     got, want = np.asarray(got), np.asarray(want)
@@ -309,7 +296,7 @@ def _losses_and_grads(impl, inputs, alpha, lam, block, target_grad):
     b = boot(leaves[2], onehot, alpha)
     r = rec(leaves[3], target)
     c, parts = clus(leaves[0], leaves[1], lam, block)
-    (total_loss({"b": b, "r": r, "c": c}) * 0.37).backward()
+    mul(total_loss({"b": b, "r": r, "c": c}), 0.37).backward()
     grads = [t.grad for t in leaves] + ([target.grad] if target_grad else [])
     return [b.data, r.data, c.data, *(p.data for p in parts.values()), *grads]
 

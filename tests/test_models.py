@@ -12,6 +12,8 @@ from noisylab.models import (
     SoftmaxHead,
 )
 
+import chains as ch
+
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
@@ -196,8 +198,8 @@ class TestConvMatchesReference:
             for p in ms.parameters().values():
                 p.grad = None
             feats = ms.backbone(Tensor(images))
-            ce = -(ms.classifier.log_probs(feats) * Tensor(onehot)).sum(axis=-1).mean()
-            (ce + (ms.decoder(feats) - Tensor(images)).square().mean()).backward()
+            ce = ch.neg(ch.mean(ch.sum(ch.mul(ms.classifier.log_probs(feats), Tensor(onehot)), axis=-1)))
+            (ce + ch.mean(ch.square(ch.sub(ms.decoder(feats), Tensor(images))))).backward()
             opt.step(0.1)
         if steps:
             # every backbone, decoder and classifier parameter has moved

@@ -49,6 +49,8 @@ from noisylab.training import (
     train_epoch,
 )
 
+import chains as ch
+
 
 def tiny_config(**overrides):
     cfg = config_mod.default_config()
@@ -135,8 +137,8 @@ def _small_models():
 def _batch_loss(ms, seed):
     x = Tensor(np.random.default_rng(seed).uniform(0, 1, (6, 8, 8)).astype(np.float32))
     feats = ms.backbone(x)
-    return (ms.classifier.log_probs(feats).sum() * -0.25
-            + (ms.decoder(feats) - x).square().mean() + ms.cluster_head(feats).square().sum())
+    return (ch.mul(ch.sum(ms.classifier.log_probs(feats)), -0.25)
+            + ch.mean(ch.square(ch.sub(ms.decoder(feats), x))) + ch.sum(ch.square(ms.cluster_head(feats))))
 
 
 class TestGradients:
@@ -146,7 +148,7 @@ class TestGradients:
     def test_hand_set_gradient_is_stepped(self):
         params, flat = _flat_params(a=(2, 3), b=(4,))
         opt = SgdOptimizer(params, flat, momentum=0.0, weight_decay=0.0)
-        (params["a"].sum() + params["b"].sum()).backward()  # ones
+        (ch.sum(params["a"]) + ch.sum(params["b"])).backward()  # ones
         params["b"].grad = np.full(4, 2.0, np.float32)  # set by hand
         opt.step(0.5)
         assert np.all(params["a"].data == 0.5) and np.all(params["b"].data == 0.0)
@@ -208,7 +210,7 @@ class TestGradients:
     def test_nan_from_backward_raises_and_changes_nothing(self):
         ms, opt = _small_models()
         x = Tensor(np.full((2, 8, 8), np.nan, np.float32))
-        ms.classifier.logits(ms.backbone(x)).sum().backward()
+        ch.sum(ms.classifier.logits(ms.backbone(x))).backward()
         flat = ms.flat.copy()
         with pytest.raises(DivergenceError, match="'backbone.w1'"):
             opt.step(0.1)
